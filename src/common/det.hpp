@@ -41,9 +41,10 @@ template <typename Container>
   return keys;
 }
 
-/// 64-bit FNV-1a accumulator. Folding in the (time, id) pair of every
-/// fired event yields a digest of the entire event stream; any ordering
-/// divergence between two runs changes it with overwhelming probability.
+/// 64-bit FNV-1a accumulator. Folding in the (time, insertion sequence)
+/// pair of every fired event yields a digest of the entire event stream;
+/// any ordering divergence between two runs changes it with overwhelming
+/// probability.
 class Fnv1a {
  public:
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;

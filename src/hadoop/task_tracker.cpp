@@ -292,8 +292,13 @@ void TaskTracker::do_kill(TaskId id) {
   auto it = live_.find(id);
   if (it == live_.end()) return;  // completed in the meanwhile
   it->second.kill_requested = true;
-  kernel_.signal(it->second.pid, Signal::Kill);
-  if (it->second.helper.valid()) kernel_.signal(it->second.helper, Signal::Kill);
+  // The exit hook runs inside the SIGKILL and may erase the entry (a
+  // checkpointing task leaves at once), so read it before signalling. A
+  // helper the hook already reaped ignores the second signal.
+  const Pid pid = it->second.pid;
+  const Pid helper = it->second.helper;
+  kernel_.signal(pid, Signal::Kill);
+  if (helper.valid()) kernel_.signal(helper, Signal::Kill);
 }
 
 void TaskTracker::do_suspend(TaskId id) {
@@ -308,8 +313,13 @@ void TaskTracker::do_suspend(TaskId id) {
 void TaskTracker::do_resume(TaskId id) {
   auto it = live_.find(id);
   if (it == live_.end()) return;
-  kernel_.signal(it->second.pid, Signal::Cont);
-  if (it->second.helper.valid()) kernel_.signal(it->second.helper, Signal::Cont);
+  // SIGCONT runs the task's deferred work synchronously, which can finish
+  // the task and erase its entry, so read it before signalling. A helper
+  // the exit path already reaped ignores the SIGCONT.
+  const Pid pid = it->second.pid;
+  const Pid helper = it->second.helper;
+  kernel_.signal(pid, Signal::Cont);
+  if (helper.valid()) kernel_.signal(helper, Signal::Cont);
 }
 
 void TaskTracker::do_checkpoint_suspend(TaskId id) {

@@ -31,6 +31,16 @@ bool all_numeric(const std::vector<std::string>& values) {
   return true;
 }
 
+/// Mean of `values`, summed in ascending order: floating-point addition
+/// is not associative, so summing in cell-arrival order would let the
+/// pool's completion order reach the last digits.
+double sorted_mean(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  double sum = 0;
+  for (const double v : values) sum += v;
+  return sum / static_cast<double>(values.size());
+}
+
 void sort_axis_values(std::vector<std::string>& values) {
   if (all_numeric(values)) {
     std::sort(values.begin(), values.end(), [](const std::string& a, const std::string& b) {
@@ -46,9 +56,7 @@ void sort_axis_values(std::vector<std::string>& values) {
 std::vector<GroupStats> group_stats(const std::vector<core::RunDescriptor>& descriptors,
                                     const std::vector<CellResult>& cells) {
   struct Acc {
-    std::vector<double> sojourns;
-    double makespan_sum = 0;
-    double cost_sum = 0;
+    std::vector<double> sojourns, makespans, costs;
     int failed = 0;
   };
   std::map<std::string, Acc> by_key;
@@ -59,8 +67,8 @@ std::vector<GroupStats> group_stats(const std::vector<core::RunDescriptor>& desc
       continue;
     }
     acc.sojourns.push_back(cell.record.sojourn_th);
-    acc.makespan_sum += cell.record.makespan;
-    acc.cost_sum += cell.record.cost;
+    acc.makespans.push_back(cell.record.makespan);
+    acc.costs.push_back(cell.record.cost);
   }
 
   std::vector<GroupStats> out;
@@ -72,15 +80,13 @@ std::vector<GroupStats> group_stats(const std::vector<core::RunDescriptor>& desc
     g.failed = acc.failed;
     if (g.runs > 0) {
       std::sort(acc.sojourns.begin(), acc.sojourns.end());
-      double sum = 0;
-      for (const double s : acc.sojourns) sum += s;
-      g.mean = sum / g.runs;
+      g.mean = sorted_mean(acc.sojourns);
       g.p50 = percentile(acc.sojourns, 0.50);
       g.p99 = percentile(acc.sojourns, 0.99);
       g.min = acc.sojourns.front();
       g.max = acc.sojourns.back();
-      g.makespan_mean = acc.makespan_sum / g.runs;
-      g.cost_mean = acc.cost_sum / g.runs;
+      g.makespan_mean = sorted_mean(std::move(acc.makespans));
+      g.cost_mean = sorted_mean(std::move(acc.costs));
     }
     out.push_back(std::move(g));
   }
@@ -152,9 +158,7 @@ PivotTable pivot(const std::vector<core::RunDescriptor>& descriptors,
       }
       if (samples.empty()) continue;
       std::sort(samples.begin(), samples.end());
-      double sum = 0;
-      for (const double s : samples) sum += s;
-      table.values[r][c] = sum / static_cast<double>(samples.size());
+      table.values[r][c] = sorted_mean(samples);
       table.p50[r][c] = percentile(samples, 0.50);
       table.p99[r][c] = percentile(samples, 0.99);
     }
@@ -165,8 +169,7 @@ PivotTable pivot(const std::vector<core::RunDescriptor>& descriptors,
 std::vector<FrontierPoint> frontier(const std::vector<core::RunDescriptor>& descriptors,
                                     const std::vector<CellResult>& cells) {
   struct Acc {
-    int runs = 0;
-    double cost_sum = 0, sojourn_sum = 0, makespan_sum = 0;
+    std::vector<double> costs, sojourns, makespans;
   };
   // Key: (node_mix text, revoke_react text). std::map gives sorted
   // traversal; the final sort below fixes numeric node_mix order.
@@ -178,22 +181,21 @@ std::vector<FrontierPoint> frontier(const std::vector<core::RunDescriptor>& desc
     const std::string* react = d.find("revoke_react");
     if (mix == nullptr || react == nullptr) continue;
     Acc& acc = by_point[{*mix, *react}];
-    ++acc.runs;
-    acc.cost_sum += cell.record.cost;
-    acc.sojourn_sum += cell.record.sojourn_th;
-    acc.makespan_sum += cell.record.makespan;
+    acc.costs.push_back(cell.record.cost);
+    acc.sojourns.push_back(cell.record.sojourn_th);
+    acc.makespans.push_back(cell.record.makespan);
   }
 
   std::vector<FrontierPoint> out;
   out.reserve(by_point.size());
-  for (const auto& [key, acc] : by_point) {
+  for (auto& [key, acc] : by_point) {
     FrontierPoint p;
     p.node_mix = key.first;
     p.revoke_react = key.second;
-    p.runs = acc.runs;
-    p.cost_mean = acc.cost_sum / acc.runs;
-    p.sojourn_mean = acc.sojourn_sum / acc.runs;
-    p.makespan_mean = acc.makespan_sum / acc.runs;
+    p.runs = static_cast<int>(acc.costs.size());
+    p.cost_mean = sorted_mean(std::move(acc.costs));
+    p.sojourn_mean = sorted_mean(std::move(acc.sojourns));
+    p.makespan_mean = sorted_mean(std::move(acc.makespans));
     out.push_back(std::move(p));
   }
   std::sort(out.begin(), out.end(), [](const FrontierPoint& a, const FrontierPoint& b) {

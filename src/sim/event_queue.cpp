@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -9,34 +8,21 @@ namespace osap {
 
 namespace {
 
-/// Bucket-count policy: grow when buckets average > 2 live events, shrink
-/// (with hysteresis) when the calendar is mostly empty.
-[[nodiscard]] constexpr bool should_grow(std::size_t live, std::size_t buckets) noexcept {
-  return live > 2 * buckets;
-}
-[[nodiscard]] constexpr bool should_shrink(std::size_t live, std::size_t buckets) noexcept {
-  return live < buckets / 4;
-}
+constexpr std::size_t kArity = 4;
 
-/// A day bucket holding more than this many entries is a sign the day
-/// width no longer matches the event population (it was estimated from an
-/// earlier, sparser era); pop() reacts by re-estimating via compact().
-constexpr std::size_t kScanTarget = 64;
+/// Tombstones are re-heapified away only past this floor, so small
+/// queues skip the churn.
+constexpr std::size_t kMinTombstones = 64;
 
 }  // namespace
 
-std::uint64_t EventQueue::day_of(SimTime t) const noexcept {
-  // Pure function of (t, width_): scans rely on every entry mapping to
-  // the same day until the next rebuild. The clamp keeps a huge t /
-  // tiny width from overflowing the day counter; entries past it just
-  // share the final day and are ordered by the (time, id) min-scan.
-  const double day = t / width_;
-  return day < 1e18 ? static_cast<std::uint64_t>(day) : static_cast<std::uint64_t>(1e18);
-}
-
 EventId EventQueue::push(SimTime t, std::function<void()> fn) {
   OSAP_CHECK_MSG(t >= 0 && t < kTimeNever, "event time must be finite, got " << t);
-  const EventId id = next_id_++;
+  // The sequence fills the handle's upper 32 bits. Every pending event
+  // holds its own sequence, so the arena never outgrows 32-bit slots.
+  OSAP_CHECK_MSG(next_seq_ <= ~std::uint32_t{0}, "event sequence overflow after "
+                                                     << next_seq_ - 1 << " events");
+  const auto seq = static_cast<std::uint32_t>(next_seq_++);
 
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
@@ -47,193 +33,110 @@ EventId EventQueue::push(SimTime t, std::function<void()> fn) {
     arena_.emplace_back();
   }
   arena_[slot].fn = std::move(fn);
-  arena_[slot].id = id;
-  slot_of_.emplace(id, slot);
+  arena_[slot].seq = seq;
 
-  if (should_grow(live_ + 1, buckets_.size())) compact(buckets_.size() * 2);
-
-  const std::uint64_t day = day_of(t);
-  // An empty calendar's cursor is stale; otherwise only rewind it — the
-  // cursor is a lower bound on the earliest pending day.
-  if (live_ == 0 || day < cur_day_) cur_day_ = day;
-  buckets_[day % buckets_.size()].push_back(Entry{t, id, day, slot});
+  const EventId id = (EventId{seq} << 32) | slot;
+  heap_.push_back(Entry{t, id});
+  sift_up(heap_.size() - 1, heap_.back());
   ++live_;
-  peek_valid_ = false;
   return id;
 }
 
 void EventQueue::cancel(EventId id) {
-  // Cancelling an id that already fired (or never existed) is a no-op —
-  // periodic re-arm patterns cancel their own just-fired timer.
-  const auto it = slot_of_.find(id);
-  if (it == slot_of_.end()) return;
-  const std::uint32_t slot = it->second;
-  slot_of_.erase(it);
-  // Release the closure (and everything it captures) right now; the
-  // calendar entry becomes a POD tombstone, recognized by the id
-  // mismatch and dropped by the next scan or compaction.
-  arena_[slot].fn = nullptr;
-  arena_[slot].id = 0;
-  arena_[slot].next_free = free_head_;
-  free_head_ = slot;
+  // Periodic re-arm patterns cancel their own just-fired timer; such a
+  // handle's slot is free (seq 0) or holds a later event. Sequence 0 is
+  // never issued, which covers the 0 sentinel.
+  const std::uint32_t slot = slot_of(id);
+  if (seq_of(id) == 0 || slot >= arena_.size() || arena_[slot].seq != seq_of(id)) return;
+  release(slot);
   --live_;
   ++cancelled_;
-  peek_valid_ = false;
-  if (cancelled_ >= 64 && cancelled_ > live_) compact(buckets_.size());
+  if (cancelled_ >= kMinTombstones && cancelled_ > live_) {
+    // Floyd's heapify of the survivors, deepest node first.
+    std::erase_if(heap_, [this](const Entry& e) { return stale(e); });
+    for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i, heap_[i]);
+    cancelled_ = 0;
+  }
 }
 
-void EventQueue::compact(std::size_t new_buckets) {
-  std::vector<Entry> entries;
-  entries.reserve(live_);
-  for (std::vector<Entry>& bucket : buckets_) {
-    for (const Entry& e : bucket) {
-      if (arena_[e.slot].id == e.id) entries.push_back(e);
-    }
-    bucket.clear();
-  }
-  cancelled_ = 0;
-  pops_since_compact_ = 0;
-
-  // Re-estimate the day width so a bucket holds ~2 events: too wide and
-  // pops scan long buckets, too narrow and pops trudge through empty
-  // days. A sorted subsample spans (almost) the full population, so
-  // span / population approximates the mean inter-event gap no matter
-  // the sampling stride.
-  if (entries.size() >= 2) {
-    std::vector<SimTime> sample;
-    const std::size_t stride = std::max<std::size_t>(1, entries.size() / 64);
-    for (std::size_t i = 0; i < entries.size(); i += stride) sample.push_back(entries[i].time);
-    std::sort(sample.begin(), sample.end());
-    const SimTime span = sample.back() - sample.front();
-    if (span > 0) {
-      width_ = std::max(2.0 * span / static_cast<double>(entries.size()), 1e-9);
-    }
-  }
-
-  buckets_.assign(std::max(new_buckets, kMinBuckets), {});
-  cur_day_ = ~std::uint64_t{0};
-  for (Entry e : entries) {
-    e.day = day_of(e.time);  // the width (and so every day) may have moved
-    cur_day_ = std::min(cur_day_, e.day);
-    buckets_[e.day % buckets_.size()].push_back(e);
-  }
-  if (entries.empty()) cur_day_ = 0;
-  peek_valid_ = false;
+void EventQueue::release(std::uint32_t slot) noexcept {
+  arena_[slot].fn = nullptr;
+  arena_[slot].seq = 0;
+  arena_[slot].next_free = free_head_;
+  free_head_ = slot;
 }
 
-bool EventQueue::find_min() {
-  if (live_ == 0) return false;
-  if (peek_valid_) return true;
-
-  const std::size_t nb = buckets_.size();
-  // Day-by-day scan: the earliest entry of the current day, pruning
-  // tombstones in passing. Entries from later days sharing the bucket
-  // stay put. After a calendar's worth of empty days the population is
-  // sparse — locate the global minimum directly instead.
-  for (std::size_t advanced = 0; advanced <= nb; ++advanced, ++cur_day_) {
-    std::vector<Entry>& bucket = buckets_[cur_day_ % nb];
-    bool found = false;
-    SimTime best_time = kTimeNever;
-    EventId best_id = 0;
-    for (std::size_t i = 0; i < bucket.size();) {
-      const Entry& e = bucket[i];
-      if (arena_[e.slot].id != e.id) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        --cancelled_;
-        continue;
-      }
-      if (e.day == cur_day_ &&
-          (!found || e.time < best_time || (e.time == best_time && e.id < best_id))) {
-        found = true;
-        best_time = e.time;
-        best_id = e.id;
-        peek_bucket_ = cur_day_ % nb;
-        peek_index_ = i;
-      }
-      ++i;
-    }
-    if (found) {
-      // A day this crowded means the width was tuned for a sparser era
-      // (the population only re-tunes on grow/shrink otherwise); ask
-      // pop() to rebuild. Rate-limited there, so a pathological
-      // population (everything at one instant) cannot thrash.
-      overloaded_ = bucket.size() > kScanTarget;
-      peek_valid_ = true;
-      return true;
-    }
+void EventQueue::sift_up(std::size_t i, Entry e) noexcept {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
+  heap_[i] = e;
+}
 
-  // Direct search: global (time, id) minimum across every bucket.
-  bool found = false;
-  SimTime best_time = kTimeNever;
-  std::uint64_t best_day = 0;
-  EventId best_id = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    std::vector<Entry>& bucket = buckets_[b];
-    for (std::size_t i = 0; i < bucket.size();) {
-      const Entry& e = bucket[i];
-      if (arena_[e.slot].id != e.id) {
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        --cancelled_;
-        continue;
-      }
-      if (!found || e.time < best_time || (e.time == best_time && e.id < best_id)) {
-        found = true;
-        best_time = e.time;
-        best_day = e.day;
-        best_id = e.id;
-        peek_bucket_ = b;
-        peek_index_ = i;
-      }
-      ++i;
+std::uint64_t EventQueue::sift_down(std::size_t i, Entry e) noexcept {
+  const std::size_t n = heap_.size();
+  std::uint64_t levels = 0;
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
     }
+    if (!before(heap_[best], e)) break;
+    heap_[i] = heap_[best];
+    i = best;
+    ++levels;
   }
-  OSAP_CHECK(found);  // live_ > 0 guarantees a pending entry exists
-  cur_day_ = best_day;
-  peek_valid_ = true;
-  return true;
+  heap_[i] = e;
+  return levels;
+}
+
+std::uint64_t EventQueue::remove_top() noexcept {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  return heap_.empty() ? 0 : sift_down(0, last);
+}
+
+void EventQueue::prune_top() noexcept {
+  while (stale(heap_.front())) {
+    work_ += 1 + remove_top();
+    --cancelled_;
+  }
 }
 
 SimTime EventQueue::next_time() {
-  if (!find_min()) return kTimeNever;
-  return buckets_[peek_bucket_][peek_index_].time;
+  if (live_ == 0) return kTimeNever;
+  prune_top();
+  return heap_.front().time;
 }
 
 std::vector<std::pair<SimTime, EventId>> EventQueue::pending_events() const {
   std::vector<std::pair<SimTime, EventId>> out;
   out.reserve(live_);
-  for_each_pending([&out](SimTime t, EventId id) { out.emplace_back(t, id); });
+  for (const Entry& e : heap_) {
+    if (!stale(e)) out.emplace_back(e.time, e.handle);
+  }
   return out;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  OSAP_CHECK(find_min());
-  std::vector<Entry>& bucket = buckets_[peek_bucket_];
-  const Entry e = bucket[peek_index_];
-  bucket[peek_index_] = bucket.back();
-  bucket.pop_back();
-  peek_valid_ = false;
-
-  Fired fired{e.time, e.id, std::move(arena_[e.slot].fn)};
-  arena_[e.slot].fn = nullptr;
-  arena_[e.slot].id = 0;
-  arena_[e.slot].next_free = free_head_;
-  free_head_ = e.slot;
-  slot_of_.erase(e.id);
-  --live_;
-  ++pops_since_compact_;
-  if (should_shrink(live_, buckets_.size()) && buckets_.size() > kMinBuckets) {
-    compact(buckets_.size() / 2);
-  } else if (overloaded_ && pops_since_compact_ > buckets_.size()) {
-    // Steady-state re-tune: the population level never tripped a
-    // grow/shrink, but find_min keeps scanning oversized days. One
-    // rebuild per calendar's worth of pops bounds the amortized cost at
-    // O(live / buckets) ≈ O(1) per pop even if the width estimate can't
-    // improve (e.g. every pending event shares one timestamp).
-    overloaded_ = false;
-    compact(buckets_.size());
+  OSAP_CHECK(live_ > 0);
+  prune_top();
+  const Entry top = heap_.front();
+  work_ += remove_top();
+  const std::uint32_t slot = slot_of(top.handle);
+  Fired fired{top.time, top.handle, seq_of(top.handle), std::move(arena_[slot].fn),
+              std::exchange(work_, 0)};
+  release(slot);
+  if (--live_ == 0) {
+    // Whatever is left is tombstones.
+    heap_.clear();
+    cancelled_ = 0;
   }
   return fired;
 }

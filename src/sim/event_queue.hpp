@@ -1,27 +1,25 @@
-// Calendar queue of timestamped events with stable FIFO tie-breaking and
+// 4-ary min-heap of timestamped events with stable FIFO tie-breaking and
 // O(1) cancellation that releases the closure eagerly.
 //
-// Structure (Brown's calendar queue, 1988): events hash into an array of
-// "day" buckets by floor(time / width); pop scans the current day for
-// the earliest (time, id) pair and advances day by day, falling back to
-// a direct search when the calendar is sparse. The bucket count tracks
-// the number of pending events (amortized O(1) resize) so buckets stay
-// short and push/pop are O(1) for the steady-state timer populations a
-// warehouse-scale simulation carries. Pop order is the total order
-// (time, then insertion id) — exactly the binary heap's order, so the
-// event-stream digest is unchanged by construction (docs/PERF.md).
+// Heap entries are 16-byte PODs {time, handle}. A handle is
+// (sequence << 32) | slot: the sequence numbers pushes from 1 and the
+// slot indexes the closure arena. Sequences are unique, so ordering
+// entries by (time, handle) orders them by (time, insertion sequence) —
+// the binary heap's order, so the event-stream digest is unchanged by
+// construction (docs/PERF.md). Four children per node make the heap half
+// as deep as a binary one, and the four sit side by side in memory.
 //
-// Closures live in a slot arena, not in the calendar: bucket entries are
-// small PODs {time, id, slot}, and cancel() frees the slot (and the
-// std::function plus everything it captures) immediately. A cancelled
-// entry leaves only a POD tombstone behind, detected on scan by an
-// id mismatch against the arena slot and dropped in passing; when
-// tombstones outnumber live events the calendar is compacted outright.
+// Closures live in the slot arena, not in the heap. cancel() checks the
+// handle's sequence against its slot and frees the slot (and the
+// std::function plus everything it captures) immediately. The heap entry
+// stays behind as a POD tombstone, recognised by the sequence mismatch
+// and pruned when it reaches the top; once at least 64 tombstones
+// outnumber live events the survivors are re-heapified, and the last
+// live pop drops whatever tombstones remain.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,6 +28,7 @@
 namespace osap {
 
 /// Handle for a scheduled event; usable to cancel it before it fires.
+/// 0 is never issued, so it serves as the "no event" sentinel.
 using EventId = std::uint64_t;
 
 class EventQueue {
@@ -39,98 +38,83 @@ class EventQueue {
   EventId push(SimTime t, std::function<void()> fn);
 
   /// Cancel a pending event, releasing its closure immediately.
-  /// Cancelling an already-fired or unknown id is a harmless no-op (the
-  /// id space is never reused).
+  /// Cancelling an already-fired, already-cancelled or never-issued
+  /// handle is a harmless no-op: a reused slot carries a later sequence.
   void cancel(EventId id);
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
-  /// Time of the earliest pending event; kTimeNever when empty. Advances
-  /// the calendar cursor and prunes tombstones in passing, hence
-  /// non-const (the old const version hid this behind a const_cast).
+  /// Time of the earliest pending event; kTimeNever when empty. Prunes
+  /// tombstones off the top in passing, hence non-const.
   [[nodiscard]] SimTime next_time();
 
   /// Remove and return the earliest pending event.
   /// Precondition: !empty().
   struct Fired {
     SimTime time;
-    EventId id;
+    EventId id;          ///< the handle push() returned
+    std::uint64_t seq;   ///< insertion sequence: what the trace digest folds
     std::function<void()> fn;
+    /// Heap levels sifted down plus tombstones pruned since the previous
+    /// pop (next_time() prunes too): deterministic queue work.
+    std::uint64_t work;
   };
   Fired pop();
 
   [[nodiscard]] std::size_t pending() const noexcept { return live_; }
 
-  /// Cancelled tombstones still occupying calendar buckets (their
-  /// closures are already freed). Bounded by compaction; exposed for the
-  /// cancellation-storm stress test.
+  /// Cancelled tombstones still in the heap (their closures are already
+  /// freed). Bounded by re-heapifying; exposed for the cancellation-storm
+  /// stress test.
   [[nodiscard]] std::size_t cancelled_entries() const noexcept { return cancelled_; }
-
-  /// Visit every pending (time, id) pair, unordered, without copying or
-  /// draining anything: O(pending) per full iteration.
-  template <typename Fn>
-  void for_each_pending(Fn&& fn) const {
-    for (const std::vector<Entry>& bucket : buckets_) {
-      for (const Entry& e : bucket) {
-        if (arena_[e.slot].id == e.id) fn(e.time, e.id);
-      }
-    }
-  }
 
   /// Debug view of pending (time, id) pairs, unordered.
   [[nodiscard]] std::vector<std::pair<SimTime, EventId>> pending_events() const;
 
  private:
-  /// POD calendar entry; the closure lives in arena_[slot]. Stale when
-  /// arena_[slot].id != id (the event was cancelled, and the slot is
-  /// free or already reused by a later event). The entry's day is
-  /// computed once at filing time (and again on rebuilds, when the width
-  /// changes) so the day-scan in find_min() compares integers instead of
-  /// dividing per entry.
+  /// POD heap entry; the closure lives in arena_[slot_of(handle)].
   struct Entry {
     SimTime time;
-    EventId id;
-    std::uint64_t day;
-    std::uint32_t slot;
+    EventId handle;
   };
   struct Slot {
     std::function<void()> fn;
-    EventId id = 0;  // 0 = free
+    std::uint32_t seq = 0;  ///< sequence of the pending event; 0 = free
     std::uint32_t next_free = kNoSlot;
   };
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  [[nodiscard]] std::uint64_t day_of(SimTime t) const noexcept;
-  /// Locate the earliest pending entry into peek_*; false when empty.
-  bool find_min();
-  /// Drop stale tombstones everywhere; optionally rebuild with
-  /// `new_buckets` buckets and a width re-estimated from the survivors.
-  void compact(std::size_t new_buckets);
+  [[nodiscard]] static std::uint32_t seq_of(EventId h) noexcept {
+    return static_cast<std::uint32_t>(h >> 32);
+  }
+  [[nodiscard]] static std::uint32_t slot_of(EventId h) noexcept {
+    return static_cast<std::uint32_t>(h);
+  }
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
+    return a.time < b.time || (a.time == b.time && a.handle < b.handle);
+  }
+  [[nodiscard]] bool stale(const Entry& e) const noexcept {
+    return arena_[slot_of(e.handle)].seq != seq_of(e.handle);
+  }
 
-  std::vector<std::vector<Entry>> buckets_ = std::vector<std::vector<Entry>>(kMinBuckets);
-  double width_ = 1.0;
-  std::uint64_t cur_day_ = 0;  ///< floor(earliest pending time / width_) or less
+  void sift_up(std::size_t i, Entry e) noexcept;
+  /// Fill the hole at `i` with `e`; returns the levels it moved down.
+  std::uint64_t sift_down(std::size_t i, Entry e) noexcept;
+  /// Remove heap_[0]; returns the levels the refill sifted down.
+  std::uint64_t remove_top() noexcept;
+  /// Pop tombstones off the top until a live event is there.
+  void prune_top() noexcept;
+  /// Free the slot and the closure in it.
+  void release(std::uint32_t slot) noexcept;
+
+  std::vector<Entry> heap_;
   std::size_t live_ = 0;       ///< pending, non-cancelled events
-  std::size_t cancelled_ = 0;  ///< tombstone entries still in buckets_
+  std::size_t cancelled_ = 0;  ///< tombstone entries still in heap_
+  std::uint64_t work_ = 0;     ///< queue work not yet reported in a Fired
 
   std::vector<Slot> arena_;
   std::uint32_t free_head_ = kNoSlot;
-  /// Slot of each pending id, for cancel(); never iterated.
-  std::unordered_map<EventId, std::uint32_t> slot_of_;
-
-  /// Set by find_min() when the found day's bucket scan ran long; pop()
-  /// answers with a (rate-limited) re-tuning compact.
-  bool overloaded_ = false;
-  std::size_t pops_since_compact_ = 0;
-
-  /// Cached result of find_min(), invalidated by push/cancel/pop.
-  bool peek_valid_ = false;
-  std::size_t peek_bucket_ = 0;
-  std::size_t peek_index_ = 0;
-
-  EventId next_id_ = 1;
-
-  static constexpr std::size_t kMinBuckets = 8;
+  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace osap

@@ -32,7 +32,7 @@ bool Simulation::step() {
   if (audit_cfg_.enabled) {
     if (fired.time == now_ && processed_ > 0) {
       if (++stalled_events_ >= audit_cfg_.max_stalled_events) {
-        watchdog_abort(fired.time, fired.id);
+        watchdog_abort(fired.time, fired.seq);
       }
     } else {
       stalled_events_ = 0;
@@ -41,14 +41,14 @@ bool Simulation::step() {
   now_ = fired.time;
   ++processed_;
   trace_digest_.mix(fired.time);
-  trace_digest_.mix(fired.id);
+  trace_digest_.mix(fired.seq);
   if (audit_cfg_.enabled && audit_cfg_.min_advance_window > 0 &&
       processed_ % audit_cfg_.min_advance_window == 0) {
     const Duration advanced = now_ - window_anchor_;
     if (advanced < audit_cfg_.min_advance_floor) min_advance_abort(advanced);
     window_anchor_ = now_;
   }
-  trace_.profiler().add(trace::HotPath::EventDispatch, queue_.pending());
+  trace_.profiler().add(trace::HotPath::EventDispatch, fired.work);
   fired.fn();
   if (audit_cfg_.enabled && audits_.size() > 0 && processed_ % audit_cfg_.stride == 0) {
     sweep_audits();
@@ -115,10 +115,10 @@ void Simulation::min_advance_abort(Duration advanced) const {
   throw SimError(os.str());
 }
 
-void Simulation::watchdog_abort(SimTime event_time, EventId event_id) const {
+void Simulation::watchdog_abort(SimTime event_time, std::uint64_t event_seq) const {
   std::ostringstream os;
   os << "watchdog: simulated time stalled at t=" << event_time << " for " << stalled_events_
-     << " consecutive events (current event id " << event_id << ", " << processed_
+     << " consecutive events (current event seq " << event_seq << ", " << processed_
      << " processed, " << queue_.pending() << " pending) — likely a zero-delay event livelock\n"
      << audits_.dump_all();
   OSAP_LOG(Error, "audit") << os.str();

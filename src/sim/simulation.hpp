@@ -47,9 +47,10 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
   [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.pending(); }
   /// FNV-1a digest of the executed event stream: every fired event's
-  /// (time, id) pair, in firing order. Two runs of the same scenario must
-  /// produce identical digests — the runtime witness behind the DET-*
-  /// lint rules (docs/LINT.md); the tier-1 double-run test enforces it.
+  /// (time, insertion sequence) pair, in firing order. Two runs of the
+  /// same scenario must produce identical digests — the runtime witness
+  /// behind the DET-* lint rules (docs/LINT.md); the tier-1 double-run
+  /// test enforces it.
   [[nodiscard]] std::uint64_t trace_digest() const noexcept { return trace_digest_.value(); }
   /// Debug view of pending (time, id) pairs.
   [[nodiscard]] std::vector<std::pair<SimTime, EventId>> pending_events() const {
@@ -81,7 +82,7 @@ class Simulation {
   /// Periodic stride sweep: dirty-aware, profiled, aborts like audit_now().
   void sweep_audits();
   [[noreturn]] void audit_abort(const std::vector<std::string>& violations) const;
-  [[noreturn]] void watchdog_abort(SimTime event_time, EventId event_id) const;
+  [[noreturn]] void watchdog_abort(SimTime event_time, std::uint64_t event_seq) const;
   [[noreturn]] void min_advance_abort(Duration advanced) const;
 
   EventQueue queue_;

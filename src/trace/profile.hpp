@@ -16,7 +16,8 @@ namespace osap::trace {
 /// The dispatch paths worth attributing. Keep in sync with
 /// HotPathProfiler::name().
 enum class HotPath : std::uint8_t {
-  EventDispatch,      ///< Simulation::step — work = pending queue depth.
+  EventDispatch,      ///< Simulation::step — work = heap levels the pop sifted
+                      ///< down + tombstones it pruned.
   FluidUpdate,        ///< FluidResource::update — work = active consumers.
   NetDelivery,        ///< Network::send control messages.
   VmmCommit,          ///< Vmm::commit — work = bytes committed.

@@ -145,5 +145,16 @@ TEST(RunFacade, TickAbortBecomesAFailedRecord) {
   EXPECT_NE(rec.config_digest, 0u);  // identity is stamped before the run
 }
 
+// In this cell a SIGCONT runs a suspended task's deferred work, which
+// finishes the task and erases its TaskTracker entry inside the signal.
+// The resume path used to read the entry's streaming helper afterwards,
+// a heap-use-after-free the asan preset aborts on.
+TEST(RunFacade, ResumeThatFinishesTheTaskLeavesNoDanglingRead) {
+  const ResultRecord rec = run_descriptor(RunDescriptor::parse(
+      "workload=trace;scheduler=fair;primitive=susp;policy=primitive;jobs=16;nodes=4;"
+      "state=1GiB;stateful=0.3;swap_watermark=0.9;deadline_factor=60;seed=13"));
+  EXPECT_TRUE(rec.ok) << rec.error;
+}
+
 }  // namespace
 }  // namespace osap::core

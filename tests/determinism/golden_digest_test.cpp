@@ -2,8 +2,9 @@
 // self-consistent, but only a committed constant proves a *refactor*
 // preserved the event stream. These values were captured from the
 // binary-heap EventQueue and full-scan JobTracker sweeps immediately
-// before the calendar-queue / incremental-sweep overhaul (docs/PERF.md);
-// the overhaul's correctness law is that every one of them still matches
+// before the calendar-queue / incremental-sweep overhaul (docs/PERF.md).
+// The correctness law of that overhaul, and of the 4-ary heap that later
+// replaced the calendar queue, is that every one of them still matches
 // bit for bit. Regenerate only for an intentional model change, never
 // for a performance change:
 //   build/tests/determinism_test --gtest_filter='GoldenDigest.*' prints

@@ -152,6 +152,33 @@ TEST(Aggregate, SummaryJsonIsInvariantUnderCompletionOrder) {
   // The volatile fields stay out of the results section entirely.
   EXPECT_EQ(json.find("\"cached\""), std::string::npos);
   EXPECT_EQ(json.find("\"attempts\""), std::string::npos);
+
+  // Three seeds per group, on node_mix/revoke_react axes so the frontier
+  // block is filled too, with makespans and costs of 0.1, 0.2 and 0.3:
+  // (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in binary floating point, so
+  // any mean summed in arrival order shows up in the last digits.
+  std::vector<core::RunDescriptor> revoke_descriptors;
+  std::vector<CellResult> revoke_cells;
+  std::size_t j = 0;
+  for (const char* react : {"none", "checkpoint"}) {
+    for (const char* seed : {"1", "2", "3"}) {
+      revoke_descriptors.push_back(
+          cell(std::string("workload=trace;lifetime_model=exp;node_mix=0.5;revoke_react=") +
+               react + ";seed=" + seed));
+      const double tenths = 0.1 * static_cast<double>(j % 3 + 1);
+      CellResult res = ok_cell(j, tenths, tenths);
+      res.record.cost = tenths;
+      revoke_cells.push_back(res);
+      ++j;
+    }
+  }
+  std::ostringstream arrival;
+  write_summary_json(arrival, revoke_descriptors, revoke_cells, false, harness, 12.5);
+  std::vector<CellResult> reversed(revoke_cells.rbegin(), revoke_cells.rend());
+  std::ostringstream reverse_arrival;
+  write_summary_json(reverse_arrival, revoke_descriptors, reversed, false, harness, 12.5);
+  EXPECT_EQ(arrival.str(), reverse_arrival.str());
+  EXPECT_NE(arrival.str().find("\"frontier\":[{"), std::string::npos) << arrival.str();
 }
 
 TEST(Aggregate, FrontierGroupsByMixAndReactionInNumericMixOrder) {
