@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
       case PreemptPrimitive::Kill: verdict = "low latency, work lost"; break;
       case PreemptPrimitive::Suspend: verdict = "low latency, work kept"; break;
       case PreemptPrimitive::NatjamCheckpoint: verdict = "always pays (de)serialization"; break;
+      case PreemptPrimitive::Requeue: verdict = "work lost, locality dropped"; break;
     }
     table.row({to_string(p), Table::num(res.sojourn_th), Table::num(res.sojourn_tl),
                Table::num(res.makespan), format_bytes(res.tl_swapped_out), verdict});

@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "fault/injector.hpp"
-#include "policy/decision.hpp"
 #include "policy/gang.hpp"
 #include "policy/policy.hpp"
 #include "revoke/lifetime.hpp"
@@ -178,21 +177,18 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
     return cluster.kernel(node).vmm().swap_pressure();
   };
 
-  const PreemptPrimitive primitive = parse_primitive(d.get("primitive", "susp"));
+  PreemptPrimitive primitive = parse_primitive(d.get("primitive", "susp"));
 
-  // policy=off keeps the legacy direct-primitive path (digest-stable);
-  // policy=primitive lifts the `primitive` axis into the engine; any
-  // decision spelling forces that decision for every victim.
-  std::optional<policy::PolicyOptions> popts;
+  // Every eviction runs through the scheduler's policy engine. policy=off
+  // runs `primitive` without the swap probe; policy=primitive adds the
+  // probe's swap-watermark demotion; any primitive spelling replaces
+  // `primitive` for every victim, probe included.
+  policy::PolicyOptions popts;
   const std::string policy_spec = d.get("policy", "off");
   if (policy_spec != "off") {
-    policy::PolicyOptions p;
-    p.default_decision = policy_spec == "primitive"
-                             ? policy::decision_from_primitive(primitive)
-                             : policy::parse_decision(policy_spec);
-    p.swap_watermark = swap_watermark;
-    p.probe = probe;
-    popts = std::move(p);
+    if (policy_spec != "primitive") primitive = parse_primitive(policy_spec);
+    popts.swap_watermark = swap_watermark;
+    popts.probe = probe;
   }
 
   std::vector<CapacityScheduler::QueueConfig> queues =

@@ -257,6 +257,12 @@ bool JobTracker::resume_task(TaskId id) {
     OSAP_LOG(Warn, kLog) << "resume " << id << " rejected in state " << to_string(t.state);
     return false;
   }
+  if (kill_pending_on(id, t.tracker)) {
+    // A kill is queued for the parked attempt (it stays Suspended until
+    // the tracker reports it dead); resuming it would race that kill.
+    OSAP_LOG(Warn, kLog) << "resume " << id << " rejected: kill pending";
+    return false;
+  }
   ctr_resumes_->add();
   emit(ClusterEventType::TaskResumeRequested, t.job, id, t.node);
   if (t.checkpointed) {

@@ -62,7 +62,8 @@ class JobTracker final : public InvariantAuditor {
   /// Natjam-style suspension: serialize state, kill the JVM. Resuming a
   /// checkpointed task relaunches it with fast-forward.
   bool checkpoint_suspend_task(TaskId id);
-  /// Request resumption of a suspended task.
+  /// Request resumption of a suspended task. Returns false if it is not
+  /// Suspended or a kill is already queued for it.
   bool resume_task(TaskId id);
   /// Request the kill of a live task attempt; the task returns to the
   /// UNASSIGNED pool for rescheduling (losing its work). A racing backup
@@ -118,7 +119,7 @@ class JobTracker final : public InvariantAuditor {
   [[nodiscard]] const Task& task(TaskId id) const;
   [[nodiscard]] Task& task_mutable(TaskId id);
 
-  /// Replace a task's spec (e.g. a Spark recompute after a lost cache).
+  /// Replace a task's spec (e.g. Requeue dropping its locality pin).
   /// Goes through the tracker so the job's remaining-bytes total follows
   /// the new input size; writing task_mutable(id).spec directly would
   /// silently desync it (the audit checks).

@@ -360,22 +360,6 @@ double Kernel::progress(Pid pid) const {
   return (p->weight_done_ + current_weight * frac) / p->total_weight_;
 }
 
-RegionId Kernel::ensure_region(Pid pid, const std::string& region) {
-  Process* p = find(pid);
-  OSAP_CHECK_MSG(p != nullptr, "ensure_region on missing " << pid);
-  return region_of(*p, region, /*create=*/true);
-}
-
-bool Kernel::page_in_region(Pid pid, const std::string& region, std::function<void()> done) {
-  Process* p = find(pid);
-  if (p == nullptr) return false;
-  const auto it = p->regions_.find(region);
-  if (it == p->regions_.end()) return false;
-  vmm_.mark_hot(it->second, true);
-  vmm_.page_in(it->second, /*dirtying=*/false, std::move(done));
-  return true;
-}
-
 void Kernel::audit(std::vector<std::string>& violations) const {
   for (Pid pid : det::sorted_keys(procs_)) {
     const Process& p = *procs_.at(pid);

@@ -53,17 +53,6 @@ class Kernel final : public InvariantAuditor {
   /// Weighted completion of a process's program in [0,1].
   [[nodiscard]] double progress(Pid pid) const;
 
-  /// Fault a process's named region fully back into RAM (another party —
-  /// e.g. a Spark task reading an executor's RDD cache — is about to use
-  /// it). `done` fires after any required swap-in I/O. Returns false if
-  /// the process or region does not exist.
-  bool page_in_region(Pid pid, const std::string& region, std::function<void()> done);
-
-  /// Look up (creating if absent) a named region in a live process's
-  /// address space — lets services like Spark executors grow state
-  /// regions outside their static program.
-  RegionId ensure_region(Pid pid, const std::string& region);
-
   /// Release a named barrier for a process (data arrived on the pipe /
   /// upstream stage finished). Level-triggered: releasing before the
   /// process reaches the matching BarrierPhase makes that phase fall

@@ -8,8 +8,12 @@
 
 namespace osap::policy {
 
-PreemptionPolicy::PreemptionPolicy(JobTracker& jt, PolicyOptions options)
-    : jt_(&jt), options_(std::move(options)) {
+PreemptionPolicy::PreemptionPolicy(JobTracker& jt, PreemptPrimitive default_primitive,
+                                   PolicyOptions options)
+    : jt_(&jt),
+      preemptor_(jt),
+      default_primitive_(default_primitive),
+      options_(std::move(options)) {
   trace::CounterRegistry& reg = jt_->sim().trace().counters();
   ctr_decisions_ = &reg.counter(trace::names::kPolicyDecisions);
   ctr_waits_ = &reg.counter(trace::names::kPolicyWaits);
@@ -21,61 +25,42 @@ PreemptionPolicy::PreemptionPolicy(JobTracker& jt, PolicyOptions options)
   ctr_refused_ = &reg.counter(trace::names::kPolicyOrdersRefused);
 }
 
-Decision PreemptionPolicy::rule_for(const std::string& queue) const {
-  for (const auto& [name, decision] : options_.per_queue) {
-    if (name == queue) return decision;
+PreemptPrimitive PreemptionPolicy::rule_for(const std::string& queue) const {
+  for (const auto& [name, primitive] : options_.per_queue) {
+    if (name == queue) return primitive;
   }
-  return options_.default_decision;
+  return default_primitive_;
 }
 
-Decision PreemptionPolicy::decide(TaskId victim) const {
+PreemptPrimitive PreemptionPolicy::decide(TaskId victim) const {
   const Task& t = jt_->task(victim);
-  Decision decision = rule_for(jt_->job(t.job).spec.queue);
-  if ((decision == Decision::Suspend || decision == Decision::NatjamCheckpoint) &&
+  PreemptPrimitive primitive = rule_for(jt_->job(t.job).spec.queue);
+  if ((primitive == PreemptPrimitive::Suspend ||
+       primitive == PreemptPrimitive::NatjamCheckpoint) &&
       options_.probe && t.node.valid() &&
       options_.probe(t.node) >= options_.swap_watermark) {
-    decision = Decision::Kill;
+    primitive = PreemptPrimitive::Kill;
   }
-  return decision;
+  return primitive;
 }
 
-Outcome PreemptionPolicy::preempt(Preemptor& preemptor, TaskId victim) {
+Outcome PreemptionPolicy::preempt(TaskId victim) {
   Outcome out;
-  out.decision = decide(victim);
+  out.primitive = decide(victim);
   ctr_decisions_->add();
   // decide() only demotes; comparing against the raw rule tells demotion.
-  if (out.decision == Decision::Kill &&
-      rule_for(jt_->job(jt_->task(victim).job).spec.queue) != Decision::Kill) {
+  if (out.primitive == PreemptPrimitive::Kill &&
+      rule_for(jt_->job(jt_->task(victim).job).spec.queue) != PreemptPrimitive::Kill) {
     ctr_demotions_->add();
   }
-  switch (out.decision) {
-    case Decision::Wait:
-      ctr_waits_->add();
-      out.issued = preemptor.preempt(victim, PreemptPrimitive::Wait);
-      break;
-    case Decision::Kill:
-      ctr_kills_->add();
-      out.issued = preemptor.preempt(victim, PreemptPrimitive::Kill);
-      break;
-    case Decision::Suspend:
-      ctr_suspends_->add();
-      out.issued = preemptor.preempt(victim, PreemptPrimitive::Suspend);
-      break;
-    case Decision::NatjamCheckpoint:
-      ctr_checkpoints_->add();
-      out.issued = preemptor.preempt(victim, PreemptPrimitive::NatjamCheckpoint);
-      break;
-    case Decision::Requeue: {
-      ctr_requeues_->add();
-      // Requeue on other resources: drop the locality pin, then kill so
-      // the task reschedules from scratch wherever a slot frees first.
-      TaskSpec spec = jt_->task(victim).spec;
-      spec.preferred_node = NodeId{};
-      jt_->set_task_spec(victim, std::move(spec));
-      out.issued = preemptor.preempt(victim, PreemptPrimitive::Kill);
-      break;
-    }
+  switch (out.primitive) {
+    case PreemptPrimitive::Wait: ctr_waits_->add(); break;
+    case PreemptPrimitive::Kill: ctr_kills_->add(); break;
+    case PreemptPrimitive::Suspend: ctr_suspends_->add(); break;
+    case PreemptPrimitive::NatjamCheckpoint: ctr_checkpoints_->add(); break;
+    case PreemptPrimitive::Requeue: ctr_requeues_->add(); break;
   }
+  out.issued = preemptor_.preempt(victim, out.primitive);
   if (!out.issued) ctr_refused_->add();
   return out;
 }

@@ -2,12 +2,12 @@
 //
 // Schedulers decide *whom* to evict and *when*; this engine decides
 // *how*: it maps (victim's queue, victim state, node memory pressure) to
-// a Decision and executes it through the scheduler's Preemptor. Rules
-// key on the victim's queue — SLURM keys PreemptMode on the preemptee's
-// QOS/partition the same way — with a cluster-wide default for queues
-// without an explicit rule.
+// a PreemptPrimitive and executes it through the Preemptor it owns.
+// Rules key on the victim's queue — SLURM keys PreemptMode on the
+// preemptee's QOS/partition the same way — with a cluster-wide default
+// for queues without an explicit rule.
 //
-// Memory-pressure demotion: a suspend-family decision aimed at a node
+// Memory-pressure demotion: a suspend-family primitive aimed at a node
 // whose swap-used fraction is already past the watermark demotes to
 // Kill. Suspended tasks keep their memory committed (SLURM's documented
 // gang-scheduling hazard, which this simulator's VMM actually models:
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/ids.hpp"
-#include "policy/decision.hpp"
 #include "preempt/preemptor.hpp"
 
 namespace osap::trace {
@@ -35,9 +34,9 @@ namespace osap::policy {
 using MemoryProbe = std::function<double(NodeId)>;
 
 struct PolicyOptions {
-  Decision default_decision = Decision::Suspend;
-  /// Per-queue overrides, keyed on the victim's job queue.
-  std::vector<std::pair<std::string, Decision>> per_queue;
+  /// Per-queue overrides of the engine's default, keyed on the victim's
+  /// job queue.
+  std::vector<std::pair<std::string, PreemptPrimitive>> per_queue;
   /// Demote Suspend/NatjamCheckpoint to Kill once the victim node's
   /// swap-used fraction reaches this. 1.0 effectively disables demotion
   /// (pressure is capped below 1 while the OOM killer holds).
@@ -47,28 +46,29 @@ struct PolicyOptions {
 
 /// What the engine did for one victim.
 struct Outcome {
-  Decision decision = Decision::Wait;  ///< after any demotion
+  PreemptPrimitive primitive = PreemptPrimitive::Wait;  ///< after any demotion
   bool issued = false;  ///< the JobTracker accepted the resulting order
 };
 
 class PreemptionPolicy {
  public:
-  PreemptionPolicy(JobTracker& jt, PolicyOptions options);
+  /// `default_primitive` applies to every queue without a per_queue rule.
+  PreemptionPolicy(JobTracker& jt, PreemptPrimitive default_primitive,
+                   PolicyOptions options = {});
 
   /// Rule lookup + memory-pressure demotion for this victim; read-only.
-  [[nodiscard]] Decision decide(TaskId victim) const;
+  [[nodiscard]] PreemptPrimitive decide(TaskId victim) const;
 
-  /// Decide and execute through `preemptor`. Wait issues nothing and
-  /// counts as accepted (the high-priority work just waits); Requeue
-  /// clears the victim's locality pin and kills it.
-  Outcome preempt(Preemptor& preemptor, TaskId victim);
-
-  [[nodiscard]] const PolicyOptions& options() const noexcept { return options_; }
+  /// Decide and execute. Wait issues nothing and counts as accepted (the
+  /// high-priority work just waits).
+  Outcome preempt(TaskId victim);
 
  private:
-  [[nodiscard]] Decision rule_for(const std::string& queue) const;
+  [[nodiscard]] PreemptPrimitive rule_for(const std::string& queue) const;
 
   JobTracker* jt_;
+  Preemptor preemptor_;
+  PreemptPrimitive default_primitive_;
   PolicyOptions options_;
   trace::Counter* ctr_decisions_;
   trace::Counter* ctr_waits_;

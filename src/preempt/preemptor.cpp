@@ -1,5 +1,7 @@
 #include "preempt/preemptor.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "trace/context.hpp"
 #include "trace/names.hpp"
@@ -12,6 +14,7 @@ const char* to_string(PreemptPrimitive p) noexcept {
     case PreemptPrimitive::Kill: return "kill";
     case PreemptPrimitive::Suspend: return "susp";
     case PreemptPrimitive::NatjamCheckpoint: return "natjam";
+    case PreemptPrimitive::Requeue: return "requeue";
   }
   return "?";
 }
@@ -21,6 +24,7 @@ PreemptPrimitive parse_primitive(std::string_view name) {
   if (name == "kill") return PreemptPrimitive::Kill;
   if (name == "susp" || name == "suspend") return PreemptPrimitive::Suspend;
   if (name == "natjam" || name == "checkpoint") return PreemptPrimitive::NatjamCheckpoint;
+  if (name == "requeue") return PreemptPrimitive::Requeue;
   throw SimError("unknown preemption primitive '" + std::string(name) +
                  "' (expected one of: " + kPrimitiveSpellings + ")");
 }
@@ -54,6 +58,12 @@ bool Preemptor::preempt(TaskId victim, PreemptPrimitive primitive) {
       return jt_->suspend_task(victim);
     case PreemptPrimitive::NatjamCheckpoint:
       return jt_->checkpoint_suspend_task(victim);
+    case PreemptPrimitive::Requeue: {
+      TaskSpec spec = jt_->task(victim).spec;
+      spec.preferred_node = NodeId{};
+      jt_->set_task_spec(victim, std::move(spec));
+      return jt_->kill_task(victim);
+    }
   }
   return false;
 }
@@ -65,6 +75,7 @@ bool Preemptor::restore(TaskId victim, PreemptPrimitive primitive) {
   switch (primitive) {
     case PreemptPrimitive::Wait:
     case PreemptPrimitive::Kill:
+    case PreemptPrimitive::Requeue:
       return true;  // rescheduling happens through the normal task pool
     case PreemptPrimitive::Suspend:
     case PreemptPrimitive::NatjamCheckpoint: {

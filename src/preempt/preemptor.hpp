@@ -26,8 +26,8 @@ class Preemptor {
   bool preempt(TaskId victim, PreemptPrimitive primitive);
 
   /// Undo the preemption when resources free up again: resume a suspended
-  /// or checkpointed victim. Kill needs no restore (the task is already
-  /// back in the pool) and wait never displaced anything.
+  /// or checkpointed victim. Kill and Requeue need no restore (the task
+  /// is already back in the pool) and wait never displaced anything.
   bool restore(TaskId victim, PreemptPrimitive primitive);
 
  private:

@@ -10,13 +10,16 @@
 //   NatjamCheckpoint — application-level suspension (Cho et al. [9]):
 //              always serialize state to disk, kill the JVM, fast-forward
 //              on resume.
+//   Requeue  — SLURM's "requeue on other resources": drop the victim's
+//              locality pin, then kill it, so it reschedules wherever a
+//              slot frees first.
 #pragma once
 
 #include <string_view>
 
 namespace osap {
 
-enum class PreemptPrimitive { Wait, Kill, Suspend, NatjamCheckpoint };
+enum class PreemptPrimitive { Wait, Kill, Suspend, NatjamCheckpoint, Requeue };
 
 /// Every enumerator, for exhaustive iteration (round-trip tests, CLI
 /// usage strings). Extending the enum without extending this list trips
@@ -26,12 +29,13 @@ inline constexpr PreemptPrimitive kAllPrimitives[] = {
     PreemptPrimitive::Kill,
     PreemptPrimitive::Suspend,
     PreemptPrimitive::NatjamCheckpoint,
+    PreemptPrimitive::Requeue,
 };
 
 /// The accepted spellings, embedded in every parse error so osap and
 /// osapd report the same actionable message for a typoed axis value.
 inline constexpr const char* kPrimitiveSpellings =
-    "wait, kill, susp, suspend, natjam, checkpoint";
+    "wait, kill, susp, suspend, natjam, checkpoint, requeue";
 
 const char* to_string(PreemptPrimitive p) noexcept;
 

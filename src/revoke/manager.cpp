@@ -13,16 +13,13 @@ namespace {
 
 constexpr const char* kLog = "revoke";
 
-policy::PolicyOptions drain_policy(Reaction reaction) {
-  policy::PolicyOptions options;
+PreemptPrimitive drain_primitive(Reaction reaction) {
   switch (reaction) {
-    case Reaction::None: options.default_decision = policy::Decision::Wait; break;
-    case Reaction::Checkpoint:
-      options.default_decision = policy::Decision::NatjamCheckpoint;
-      break;
-    case Reaction::Migrate: options.default_decision = policy::Decision::Suspend; break;
+    case Reaction::None: return PreemptPrimitive::Wait;
+    case Reaction::Checkpoint: return PreemptPrimitive::NatjamCheckpoint;
+    case Reaction::Migrate: return PreemptPrimitive::Suspend;
   }
-  return options;
+  return PreemptPrimitive::Wait;
 }
 
 }  // namespace
@@ -51,8 +48,7 @@ RevocationManager::RevocationManager(Cluster& cluster, fault::FaultInjector& inj
       injector_(injector),
       plan_(std::move(plan)),
       reaction_(reaction),
-      policy_(cluster.job_tracker(), drain_policy(reaction)),
-      preemptor_(cluster.job_tracker()),
+      policy_(cluster.job_tracker(), drain_primitive(reaction)),
       migrator_(cluster) {
   trace::CounterRegistry& counters = cluster_.sim().trace().counters();
   ctr_handled_ = &counters.counter(trace::names::kRevokeWarningsHandled);
@@ -109,11 +105,11 @@ void RevocationManager::drain(NodeId node) {
       if (!t.live() || t.node != node) continue;
       switch (t.state) {
         case TaskState::Running: {
-          const policy::Outcome out = policy_.preempt(preemptor_, tid);
+          const policy::Outcome out = policy_.preempt(tid);
           if (!out.issued) break;
-          if (out.decision == policy::Decision::NatjamCheckpoint) {
+          if (out.primitive == PreemptPrimitive::NatjamCheckpoint) {
             ctr_drain_checkpoints_->add();
-          } else if (out.decision == policy::Decision::Kill) {
+          } else if (out.primitive == PreemptPrimitive::Kill) {
             ctr_drain_kills_->add();
           }
           break;

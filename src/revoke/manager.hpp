@@ -26,7 +26,6 @@
 #include "fault/injector.hpp"
 #include "policy/policy.hpp"
 #include "preempt/migration.hpp"
-#include "preempt/preemptor.hpp"
 #include "revoke/lifetime.hpp"
 
 namespace osap::revoke {
@@ -75,7 +74,6 @@ class RevocationManager {
   RevocationPlan plan_;
   Reaction reaction_;
   policy::PreemptionPolicy policy_;
-  Preemptor preemptor_;
   TaskMigrator migrator_;
   /// Nodes with an outstanding warning (value unused; keeps the
   /// det::sorted_keys idiom available).

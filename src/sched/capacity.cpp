@@ -19,39 +19,22 @@ CapacityScheduler::CapacityScheduler(Options options) : options_(std::move(optio
   for (const QueueConfig& q : options_.queues) {
     OSAP_CHECK_MSG(q.capacity > 0 && q.capacity <= 1.0,
                    "queue '" << q.name << "' capacity must be in (0,1]");
-    if (!q.preempt.empty()) policy::parse_decision(q.preempt);  // validate eagerly
+    if (!q.preempt.empty()) parse_primitive(q.preempt);  // validate eagerly
     total += q.capacity;
   }
   OSAP_CHECK_MSG(total <= 1.0 + 1e-9, "queue capacities exceed the cluster");
 }
 
 void CapacityScheduler::attached() {
-  preemptor_.emplace(*jt_);
+  // Per-queue `preempt=` attributes are policy rules keyed on the donor
+  // (preempted) queue, appended after any explicit ones.
+  policy::PolicyOptions popts = options_.policy;
+  for (const QueueConfig& q : options_.queues) {
+    if (!q.preempt.empty()) popts.per_queue.emplace_back(q.name, parse_primitive(q.preempt));
+  }
+  policy_.emplace(*jt_, options_.primitive, std::move(popts));
   resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
   for (const QueueConfig& q : options_.queues) satisfied_at_[q.name] = jt_->now();
-
-  // Per-queue `preempt=` attributes are policy rules keyed on the donor
-  // (preempted) queue; they merge over the explicit engine options, or
-  // bring up an engine of their own with `primitive` as the default.
-  bool any_queue_rule = false;
-  for (const QueueConfig& q : options_.queues) any_queue_rule |= !q.preempt.empty();
-  if (options_.policy || any_queue_rule) {
-    policy::PolicyOptions popts =
-        options_.policy ? *options_.policy : policy::PolicyOptions{};
-    if (!options_.policy) {
-      popts.default_decision = policy::decision_from_primitive(options_.primitive);
-    }
-    for (const QueueConfig& q : options_.queues) {
-      if (q.preempt.empty()) continue;
-      popts.per_queue.emplace_back(q.name, policy::parse_decision(q.preempt));
-    }
-    policy_engine_.emplace(*jt_, std::move(popts));
-  }
-}
-
-bool CapacityScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
 }
 
 void CapacityScheduler::job_added(JobId id) {
@@ -127,7 +110,7 @@ void CapacityScheduler::check_guarantees() {
     if (!victim.valid()) continue;
     OSAP_LOG(Info, kLog) << "queue '" << q.name << "' under its guarantee; preempting "
                          << victim << " from queue '" << donor->name << "'";
-    if (issue_preemption(victim)) {
+    if (policy_->preempt(victim).issued) {
       ++preemptions_;
       satisfied_at_[q.name] = now;
     }

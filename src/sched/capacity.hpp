@@ -16,7 +16,6 @@
 
 #include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
 #include "preempt/resume_locality.hpp"
 #include "hadoop/scheduler.hpp"
 
@@ -31,9 +30,8 @@ class CapacityScheduler : public Scheduler {
     /// Per-queue preemption mode (docs/POLICY.md): how tasks *of this
     /// queue* are evicted when another queue reclaims its guarantee —
     /// SLURM keys PreemptMode on the preempted partition the same way.
-    /// Any spelling in policy::kDecisionSpellings; "" inherits the
-    /// scheduler-wide `primitive` (or the engine default when `policy`
-    /// is set).
+    /// Any spelling in kPrimitiveSpellings; "" inherits the
+    /// scheduler-wide `primitive`.
     std::string preempt;
   };
   struct Options {
@@ -43,10 +41,9 @@ class CapacityScheduler : public Scheduler {
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
     EvictionPolicy eviction = EvictionPolicy::LastLaunched;
     Duration resume_locality_threshold = seconds(30);
-    /// Explicit policy engine; per-queue `preempt=` attributes are
-    /// merged on top of it. Left empty, an engine is still built when
-    /// any queue sets `preempt=` (default = `primitive`).
-    std::optional<policy::PolicyOptions> policy;
+    /// Per-queue rules and swap demotion over `primitive`
+    /// (docs/POLICY.md); queue `preempt=` attributes are appended.
+    policy::PolicyOptions policy;
   };
 
   explicit CapacityScheduler(Options options);
@@ -65,12 +62,10 @@ class CapacityScheduler : public Scheduler {
   [[nodiscard]] const std::string& queue_of(JobId id) const;
   [[nodiscard]] bool queue_has_demand(const std::string& queue) const;
   void check_guarantees();
-  bool issue_preemption(TaskId victim);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
+  std::optional<policy::PreemptionPolicy> policy_;
   std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
   std::unordered_map<std::string, SimTime> satisfied_at_;
   int preemptions_ = 0;
 };

@@ -12,14 +12,8 @@ constexpr const char* kLog = "deadline";
 }
 
 void DeadlineScheduler::attached() {
-  preemptor_.emplace(*jt_);
+  policy_.emplace(*jt_, options_.primitive, options_.policy);
   resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-  if (options_.policy) policy_engine_.emplace(*jt_, *options_.policy);
-}
-
-bool DeadlineScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
 }
 
 Duration DeadlineScheduler::remaining_work(JobId id) const {
@@ -124,7 +118,7 @@ std::vector<TaskId> DeadlineScheduler::assign(const TrackerStatus& status) {
     if (!victim.valid()) break;
     OSAP_LOG(Info, kLog) << "deadline of job " << most_urgent << " at risk (laxity "
                          << laxity(most_urgent) << "s); preempting " << victim;
-    if (issue_preemption(victim)) {
+    if (policy_->preempt(victim).issued) {
       ++preemptions_;
       --urgent_unserved;
       --budget;

@@ -15,7 +15,6 @@
 
 #include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
 #include "preempt/resume_locality.hpp"
 #include "hadoop/scheduler.hpp"
 
@@ -39,9 +38,8 @@ class DeadlineScheduler : public Scheduler {
     /// the synthetic mapper's parse rate).
     double seconds_per_byte = 1.0 / (6.7 * static_cast<double>(MiB));
     int max_preemptions_per_heartbeat = 1;
-    /// Per-queue policy engine (docs/POLICY.md). When set, eviction
-    /// orders route through it and `primitive` is ignored.
-    std::optional<policy::PolicyOptions> policy;
+    /// Per-queue rules and swap demotion over `primitive` (docs/POLICY.md).
+    policy::PolicyOptions policy;
   };
 
   DeadlineScheduler() : options_(Options{}) {}
@@ -58,12 +56,10 @@ class DeadlineScheduler : public Scheduler {
  private:
   void attached() override;
   [[nodiscard]] std::vector<JobId> edf_order() const;
-  bool issue_preemption(TaskId victim);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
+  std::optional<policy::PreemptionPolicy> policy_;
   std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
   int preemptions_ = 0;
 };
 

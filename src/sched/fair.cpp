@@ -11,14 +11,8 @@ constexpr const char* kLog = "fair";
 }
 
 void FairScheduler::attached() {
-  preemptor_.emplace(*jt_);
+  policy_.emplace(*jt_, options_.primitive, options_.policy);
   resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-  if (options_.policy) policy_engine_.emplace(*jt_, *options_.policy);
-}
-
-bool FairScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
 }
 
 void FairScheduler::job_added(JobId id) { satisfied_at_[id] = jt_->now(); }
@@ -98,7 +92,7 @@ void FairScheduler::check_starvation() {
     if (!victim.valid()) continue;
     OSAP_LOG(Info, kLog) << "job " << jid << " starved; preempting " << victim << " of job "
                          << fattest << " via " << to_string(options_.primitive);
-    if (issue_preemption(victim)) {
+    if (policy_->preempt(victim).issued) {
       ++preemptions_;
       satisfied_at_[jid] = now;  // give the command time to take effect
     }

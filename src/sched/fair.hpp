@@ -15,7 +15,6 @@
 
 #include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
 #include "preempt/resume_locality.hpp"
 #include "sched/fifo.hpp"
 
@@ -32,9 +31,8 @@ class FairScheduler : public Scheduler {
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
     EvictionPolicy eviction = EvictionPolicy::SmallestMemory;
     Duration resume_locality_threshold = seconds(30);
-    /// Per-queue policy engine (docs/POLICY.md). When set, eviction
-    /// orders route through it and `primitive` is ignored.
-    std::optional<policy::PolicyOptions> policy;
+    /// Per-queue rules and swap demotion over `primitive` (docs/POLICY.md).
+    policy::PolicyOptions policy;
   };
 
   explicit FairScheduler(Options options) : options_(options) {}
@@ -53,12 +51,10 @@ class FairScheduler : public Scheduler {
   [[nodiscard]] double fair_share() const;
   void check_starvation();
   void resume_where_possible(const TrackerStatus& status, int& free_maps);
-  bool issue_preemption(TaskId victim);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
+  std::optional<policy::PreemptionPolicy> policy_;
   std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
   /// When each job last had at least its fair share (or had no demand).
   std::unordered_map<JobId, SimTime> satisfied_at_;
   int preemptions_ = 0;

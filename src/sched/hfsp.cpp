@@ -12,14 +12,8 @@ constexpr const char* kLog = "hfsp";
 }
 
 void HfspScheduler::attached() {
-  preemptor_.emplace(*jt_);
+  policy_.emplace(*jt_, options_.primitive, options_.policy);
   resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-  if (options_.policy) policy_engine_.emplace(*jt_, *options_.policy);
-}
-
-bool HfspScheduler::issue_preemption(TaskId victim) {
-  if (policy_engine_) return policy_engine_->preempt(*preemptor_, victim).issued;
-  return preemptor_->preempt(victim, options_.primitive);
 }
 
 Bytes HfspScheduler::remaining_size(JobId id) const {
@@ -107,7 +101,7 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
     if (!victim.valid()) break;
     OSAP_LOG(Info, kLog) << "preempting " << victim << " of job " << fattest << " for head job "
                          << head;
-    if (issue_preemption(victim)) {
+    if (policy_->preempt(victim).issued) {
       ++preemptions_;
       --head_pending;
       --budget;

@@ -13,7 +13,6 @@
 
 #include "policy/policy.hpp"
 #include "preempt/eviction.hpp"
-#include "preempt/preemptor.hpp"
 #include "preempt/resume_locality.hpp"
 #include "hadoop/scheduler.hpp"
 
@@ -29,10 +28,8 @@ class HfspScheduler : public Scheduler {
     /// small jobs doesn't thrash suspend/resume cycles — §III-A's note
     /// that schedulers should avoid paying the cycle cost too often).
     int max_preemptions_per_heartbeat = 1;
-    /// Per-queue policy engine (docs/POLICY.md). When set, eviction
-    /// orders route through it and `primitive` is ignored; when empty
-    /// the scheduler applies `primitive` directly, as before.
-    std::optional<policy::PolicyOptions> policy;
+    /// Per-queue rules and swap demotion over `primitive` (docs/POLICY.md).
+    policy::PolicyOptions policy;
   };
 
   HfspScheduler() : options_(Options{}) {}
@@ -47,12 +44,10 @@ class HfspScheduler : public Scheduler {
  private:
   void attached() override;
   [[nodiscard]] JobId head_job() const;
-  bool issue_preemption(TaskId victim);
 
   Options options_;
-  std::optional<Preemptor> preemptor_;
+  std::optional<policy::PreemptionPolicy> policy_;
   std::optional<ResumeLocalityPolicy> resume_policy_;
-  std::optional<policy::PreemptionPolicy> policy_engine_;
   int preemptions_ = 0;
 };
 

@@ -156,5 +156,15 @@ TEST(RunFacade, ResumeThatFinishesTheTaskLeavesNoDanglingRead) {
   EXPECT_TRUE(rec.ok) << rec.error;
 }
 
+// In this cell resume locality's delayed-kill fallback kills a Suspended
+// task, and the next heartbeat asks for its resume while the kill is
+// still queued. The JobTracker used to accept it, and the protocol
+// auditor failed the run.
+TEST(RunFacade, ResumeOfATaskWithAPendingKillIsRefused) {
+  const ResultRecord rec = run_descriptor(
+      RunDescriptor::parse("workload=trace;scheduler=hfsp;primitive=susp;jobs=8;nodes=4;seed=3"));
+  EXPECT_TRUE(rec.ok) << rec.error;
+}
+
 }  // namespace
 }  // namespace osap::core

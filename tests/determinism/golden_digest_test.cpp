@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "core/run.hpp"
 #include "workloads.hpp"
 
 namespace osap {
@@ -43,6 +45,62 @@ TEST(GoldenDigest, SpeculationStorm) {
 // the constants above pin the simulator core.
 TEST(GoldenDigest, RevocationStorm) {
   EXPECT_EQ(run_revocation_storm(11), 0x40bfb14cec8f5268ull);
+}
+
+// Captured before the preempting schedulers' two eviction paths (direct
+// primitive vs policy engine) were folded into one: pins each of fair,
+// capacity, hfsp and deadline under kill, susp and natjam, with the
+// swap probe off and on. A 2 GiB state on half the jobs and a 0.05
+// watermark make demotion change the susp digest under fair and
+// deadline; the last row pins capacity's per-queue `preempt=` merge.
+TEST(GoldenDigest, EvictionPaths) {
+  const std::string base =
+      "workload=trace;jobs=16;nodes=4;state=2GiB;stateful=0.5;swap_watermark=0.05;"
+      "deadline_factor=60;seed=8;";
+  struct Cell {
+    const char* scheduler;
+    const char* primitive;
+    const char* policy;
+    std::uint64_t digest;
+  };
+  const Cell cells[] = {
+      {"fair", "kill", "off", 0x7b979bf7a858569bull},
+      {"fair", "kill", "primitive", 0x7b979bf7a858569bull},
+      {"fair", "susp", "off", 0x67ab31cb3119c33cull},
+      {"fair", "susp", "primitive", 0x7e8cb833cec33edcull},
+      {"fair", "natjam", "off", 0x78414f032e14d645ull},
+      {"fair", "natjam", "primitive", 0x78414f032e14d645ull},
+      {"capacity", "kill", "off", 0xe4e0410173e0c5bfull},
+      {"capacity", "kill", "primitive", 0xe4e0410173e0c5bfull},
+      {"capacity", "susp", "off", 0xe9d43b7b6c9cb093ull},
+      {"capacity", "susp", "primitive", 0xe9d43b7b6c9cb093ull},
+      {"capacity", "natjam", "off", 0xfd38dfb0142787c8ull},
+      {"capacity", "natjam", "primitive", 0xfd38dfb0142787c8ull},
+      {"hfsp", "kill", "off", 0x22ca77d35350b708ull},
+      {"hfsp", "kill", "primitive", 0x22ca77d35350b708ull},
+      {"hfsp", "susp", "off", 0xdc18bda20a5a47b7ull},
+      {"hfsp", "susp", "primitive", 0xdc18bda20a5a47b7ull},
+      {"hfsp", "natjam", "off", 0x5ff8a2669caf2691ull},
+      {"hfsp", "natjam", "primitive", 0x5ff8a2669caf2691ull},
+      {"deadline", "kill", "off", 0xb221f5754278b097ull},
+      {"deadline", "kill", "primitive", 0xb221f5754278b097ull},
+      {"deadline", "susp", "off", 0x699fdd8e9718eb99ull},
+      {"deadline", "susp", "primitive", 0x7f9093539fc535d8ull},
+      {"deadline", "natjam", "off", 0x32d23f206919d3fcull},
+      {"deadline", "natjam", "primitive", 0x32d23f206919d3fcull},
+  };
+  for (const Cell& c : cells) {
+    const std::string desc = base + "queues=prod:0.5|batch:0.5;scheduler=" + c.scheduler +
+                             ";primitive=" + c.primitive + ";policy=" + c.policy;
+    SCOPED_TRACE(desc);
+    const core::ResultRecord rec = core::run_descriptor(core::RunDescriptor::parse(desc));
+    ASSERT_TRUE(rec.ok) << rec.error;
+    EXPECT_EQ(rec.trace_digest, c.digest);
+  }
+  const core::ResultRecord per_queue = core::run_descriptor(core::RunDescriptor::parse(
+      base + "scheduler=capacity;queues=prod:0.5:kill|batch:0.5:susp;policy=off"));
+  ASSERT_TRUE(per_queue.ok) << per_queue.error;
+  EXPECT_EQ(per_queue.trace_digest, 0x78fb18e0c10aa0baull);
 }
 
 }  // namespace

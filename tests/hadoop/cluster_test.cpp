@@ -149,6 +149,29 @@ TEST(ClusterIntegration, SuspendedTaskCanStillBeKilled) {
   EXPECT_EQ(rig.cluster.job_tracker().task(job.tasks[0]).attempts_started, 2);
 }
 
+// Killing a parked task only queues the kill: the task stays Suspended
+// until its tracker reports the attempt dead. A resume in that window
+// would leave it MustResume with the kill in flight.
+TEST(ClusterIntegration, ResumeRefusedWhileKillIsPending) {
+  Rig rig;
+  TaskSpec spec = light_map_task();
+  spec.preferred_node = rig.cluster.node(0);
+  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.ds->at_progress("tl", 0, 0.3,
+                      [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
+  rig.cluster.run_until(50.0);
+  JobTracker& jt = rig.cluster.job_tracker();
+  const TaskId tid = rig.ds->task_of("tl", 0);
+  ASSERT_EQ(jt.task(tid).state, TaskState::Suspended);
+  EXPECT_TRUE(jt.kill_task(tid));
+  EXPECT_EQ(jt.task(tid).state, TaskState::Suspended);
+  EXPECT_FALSE(jt.resume_task(tid));
+  rig.cluster.run();
+  const Job& job = jt.job(rig.ds->job_of("tl"));
+  EXPECT_EQ(job.state, JobState::Succeeded);
+  EXPECT_EQ(jt.task(job.tasks[0]).attempts_started, 2);
+}
+
 TEST(ClusterIntegration, SuspendRejectedWhenNotRunning) {
   Rig rig;
   TaskSpec spec = light_map_task();

@@ -99,13 +99,14 @@ TEST(LintFixtures, FullSweepReportsEveryPlantedViolation) {
   EXPECT_EQ(run.exit_code, 1);
   const std::string& out = run.output;
 
-  // DET-1: the two traversals in det1_bad.cpp plus the one in the trace
-  // layer, at their exact lines.
+  // DET-1: the two traversals in det1_bad.cpp plus the one in each of the
+  // trace, fault and policy layers, at their exact lines.
   EXPECT_HAS(out, "det1_bad.cpp:11: DET-1: range-for over hash-ordered 'table_'");
   EXPECT_HAS(out, "det1_bad.cpp:12: DET-1: iterator traversal of hash-ordered 'members_'");
   EXPECT_HAS(out, "det1_trace.cpp:12: DET-1: range-for over hash-ordered 'flush_totals_'");
   EXPECT_HAS(out, "det1_fault.cpp:11: DET-1: range-for over hash-ordered 'crashed_nodes_'");
-  EXPECT_EQ(count(out, " DET-1: "), 4) << out;
+  EXPECT_HAS(out, "det1_policy.cpp:11: DET-1: range-for over hash-ordered 'queue_rules_'");
+  EXPECT_EQ(count(out, " DET-1: "), 5) << out;
 
   // DET-2: pointer key, engine, rand, wall clocks.
   EXPECT_HAS(out, "det2_bad.cpp:9: DET-2: pointer-keyed 'map'");
@@ -168,7 +169,7 @@ TEST(LintFixtures, FullSweepReportsEveryPlantedViolation) {
   EXPECT_EQ(out.find("det1_unwatched.cpp"), std::string::npos) << out;
   EXPECT_EQ(out.find("clean.cpp"), std::string::npos) << out;
 
-  EXPECT_HAS(out, "osap-lint: 21 violations, 5 suppressed");
+  EXPECT_HAS(out, "osap-lint: 22 violations, 5 suppressed");
 }
 
 TEST(LintFixtures, ValidSuppressionsSilenceBothPlacements) {
@@ -197,6 +198,14 @@ TEST(LintFixtures, Det1CoversFaultLayer) {
   const LintRun run = run_lint(kFixtures + "/fault/det1_fault.cpp");
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_HAS(run.output, "DET-1: range-for over hash-ordered 'crashed_nodes_'");
+}
+
+TEST(LintFixtures, Det1CoversPolicyLayer) {
+  // src/policy picks each victim's primitive and src/revoke drains
+  // doomed nodes; both feed the event stream, so both are watched.
+  const LintRun run = run_lint(kFixtures + "/policy/det1_policy.cpp");
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_HAS(run.output, "DET-1: range-for over hash-ordered 'queue_rules_'");
 }
 
 TEST(LintFixtures, Det2CatchesWallClockInTraceSink) {

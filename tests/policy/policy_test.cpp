@@ -1,47 +1,20 @@
-// The per-queue preemption-policy engine: decision parsing round-trips,
-// rule lookup keyed on the victim's queue, memory-pressure demotion,
-// Requeue's pin-clearing kill, and the refused-order outcome.
+// The per-queue preemption-policy engine: rule lookup keyed on the
+// victim's queue, memory-pressure demotion, Requeue's pin-clearing kill,
+// the refused-order outcome, and the engine behind every scheduler.
 #include "policy/policy.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
-#include "common/error.hpp"
-#include "policy/decision.hpp"
 #include "sched/fifo.hpp"
+#include "sched/hfsp.hpp"
 #include "trace/names.hpp"
 #include "workload/profiles.hpp"
 
 namespace osap::policy {
 namespace {
-
-TEST(Decision, RoundTripsEveryEnumerator) {
-  for (const Decision d : kAllDecisions) {
-    EXPECT_STRNE(to_string(d), "?");
-    EXPECT_EQ(parse_decision(to_string(d)), d);
-  }
-  // Long-form aliases map onto the same enumerators.
-  EXPECT_EQ(parse_decision("suspend"), Decision::Suspend);
-  EXPECT_EQ(parse_decision("checkpoint"), Decision::NatjamCheckpoint);
-}
-
-TEST(Decision, ParseErrorNamesValueAndEverySpelling) {
-  try {
-    parse_decision("frobnicate");
-    FAIL() << "expected SimError";
-  } catch (const SimError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("frobnicate"), std::string::npos) << msg;
-    EXPECT_NE(msg.find(kDecisionSpellings), std::string::npos) << msg;
-  }
-}
-
-TEST(Decision, LiftsEveryPrimitive) {
-  for (const PreemptPrimitive p : kAllPrimitives) {
-    EXPECT_EQ(decision_from_primitive(p), parse_decision(to_string(p)));
-  }
-}
 
 /// Two single-task jobs on different queues, both running by t=20 (two
 /// nodes, one map slot each).
@@ -68,28 +41,26 @@ struct TwoQueueRig {
 TEST(PreemptionPolicy, RulesKeyOnTheVictimsQueue) {
   TwoQueueRig rig;
   PolicyOptions opts;
-  opts.default_decision = Decision::Suspend;
-  opts.per_queue = {{"batch", Decision::Kill}};
-  PreemptionPolicy policy(rig.cluster->job_tracker(), opts);
-  EXPECT_EQ(policy.decide(rig.task_of(rig.prod)), Decision::Suspend);
-  EXPECT_EQ(policy.decide(rig.task_of(rig.batch)), Decision::Kill);
+  opts.per_queue = {{"batch", PreemptPrimitive::Kill}};
+  PreemptionPolicy policy(rig.cluster->job_tracker(), PreemptPrimitive::Suspend, opts);
+  EXPECT_EQ(policy.decide(rig.task_of(rig.prod)), PreemptPrimitive::Suspend);
+  EXPECT_EQ(policy.decide(rig.task_of(rig.batch)), PreemptPrimitive::Kill);
 }
 
 TEST(PreemptionPolicy, SwapPressureDemotesSuspendFamilyToKill) {
   TwoQueueRig rig;
   PolicyOptions opts;
-  opts.default_decision = Decision::Suspend;
-  opts.per_queue = {{"batch", Decision::NatjamCheckpoint}};
+  opts.per_queue = {{"batch", PreemptPrimitive::NatjamCheckpoint}};
   opts.swap_watermark = 0.9;
   opts.probe = [](NodeId) { return 0.95; };
-  PreemptionPolicy hot(rig.cluster->job_tracker(), opts);
-  EXPECT_EQ(hot.decide(rig.task_of(rig.prod)), Decision::Kill);
-  EXPECT_EQ(hot.decide(rig.task_of(rig.batch)), Decision::Kill);
+  PreemptionPolicy hot(rig.cluster->job_tracker(), PreemptPrimitive::Suspend, opts);
+  EXPECT_EQ(hot.decide(rig.task_of(rig.prod)), PreemptPrimitive::Kill);
+  EXPECT_EQ(hot.decide(rig.task_of(rig.batch)), PreemptPrimitive::Kill);
 
   opts.probe = [](NodeId) { return 0.2; };
-  PreemptionPolicy cool(rig.cluster->job_tracker(), opts);
-  EXPECT_EQ(cool.decide(rig.task_of(rig.prod)), Decision::Suspend);
-  EXPECT_EQ(cool.decide(rig.task_of(rig.batch)), Decision::NatjamCheckpoint);
+  PreemptionPolicy cool(rig.cluster->job_tracker(), PreemptPrimitive::Suspend, opts);
+  EXPECT_EQ(cool.decide(rig.task_of(rig.prod)), PreemptPrimitive::Suspend);
+  EXPECT_EQ(cool.decide(rig.task_of(rig.batch)), PreemptPrimitive::NatjamCheckpoint);
 
   const auto& reg = rig.cluster->sim().trace().counters();
   EXPECT_EQ(reg.value(trace::names::kPolicySwapDemotions), 0u)
@@ -101,14 +72,12 @@ TEST(PreemptionPolicy, KillRuleIsNotDemotionProof) {
   // demotion counter must not fire for it.
   TwoQueueRig rig;
   PolicyOptions opts;
-  opts.default_decision = Decision::Kill;
   opts.swap_watermark = 0.9;
   opts.probe = [](NodeId) { return 0.95; };
-  PreemptionPolicy policy(rig.cluster->job_tracker(), opts);
-  Preemptor preemptor(rig.cluster->job_tracker());
-  const Outcome out = policy.preempt(preemptor, rig.task_of(rig.batch));
+  PreemptionPolicy policy(rig.cluster->job_tracker(), PreemptPrimitive::Kill, opts);
+  const Outcome out = policy.preempt(rig.task_of(rig.batch));
   EXPECT_TRUE(out.issued);
-  EXPECT_EQ(out.decision, Decision::Kill);
+  EXPECT_EQ(out.primitive, PreemptPrimitive::Kill);
   const auto& reg = rig.cluster->sim().trace().counters();
   EXPECT_EQ(reg.value(trace::names::kPolicySwapDemotions), 0u);
   EXPECT_EQ(reg.value(trace::names::kPolicyKills), 1u);
@@ -128,16 +97,13 @@ TEST(PreemptionPolicy, RequeueClearsTheLocalityPinAndKills) {
   });
 
   JobTracker& jt = cluster.job_tracker();
-  PolicyOptions opts;
-  opts.default_decision = Decision::Requeue;
-  auto policy = std::make_unique<PreemptionPolicy>(jt, opts);
-  auto preemptor = std::make_unique<Preemptor>(jt);
+  auto policy = std::make_unique<PreemptionPolicy>(jt, PreemptPrimitive::Requeue);
   cluster.sim().at(10.0, [&] {
     const TaskId tid = jt.job(job).tasks.front();
     ASSERT_EQ(jt.task(tid).state, TaskState::Running);
-    const Outcome out = policy->preempt(*preemptor, tid);
+    const Outcome out = policy->preempt(tid);
     EXPECT_TRUE(out.issued);
-    EXPECT_EQ(out.decision, Decision::Requeue);
+    EXPECT_EQ(out.primitive, PreemptPrimitive::Requeue);
     EXPECT_FALSE(jt.task(tid).spec.preferred_node.valid());
   });
   cluster.run();
@@ -155,14 +121,31 @@ TEST(PreemptionPolicy, RefusedOrderIsNotIssued) {
   const TaskId victim = rig.task_of(rig.batch);
   jt.testing_blacklist_tracker(jt.task(victim).tracker);
 
-  PolicyOptions opts;
-  opts.default_decision = Decision::Suspend;
-  PreemptionPolicy policy(jt, opts);
-  Preemptor preemptor(jt);
-  const Outcome out = policy.preempt(preemptor, victim);
+  PreemptionPolicy policy(jt, PreemptPrimitive::Suspend);
+  const Outcome out = policy.preempt(victim);
   EXPECT_FALSE(out.issued);
   const auto& reg = rig.cluster->sim().trace().counters();
   EXPECT_EQ(reg.value(trace::names::kPolicyOrdersRefused), 1u);
+}
+
+TEST(PreemptionPolicy, DefaultSchedulerOptionsCountEveryEviction) {
+  // No PolicyOptions set: the scheduler still evicts through its engine,
+  // so every order it issues is a counted decision.
+  Cluster cluster(paper_cluster());
+  auto sched = std::make_unique<HfspScheduler>(HfspScheduler::Options{});
+  HfspScheduler* hfsp = sched.get();
+  cluster.set_scheduler(std::move(sched));
+  cluster.sim().at(0.05, [&] { cluster.submit(single_task_job("big", 0, light_map_task())); });
+  cluster.sim().at(20.0, [&] {
+    cluster.submit(single_task_job("tiny", 0, light_map_task(64 * MiB)));
+  });
+  cluster.run();
+  ASSERT_GE(hfsp->preemptions_issued(), 1);
+  const auto& reg = cluster.sim().trace().counters();
+  EXPECT_EQ(reg.value(trace::names::kPolicyDecisions),
+            static_cast<std::uint64_t>(hfsp->preemptions_issued()));
+  EXPECT_EQ(reg.value(trace::names::kPolicySuspends),
+            static_cast<std::uint64_t>(hfsp->preemptions_issued()));
 }
 
 }  // namespace

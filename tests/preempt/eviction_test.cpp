@@ -104,6 +104,7 @@ TEST(Primitive, ParseRoundTrip) {
   EXPECT_EQ(parse_primitive("suspend"), PreemptPrimitive::Suspend);
   EXPECT_EQ(parse_primitive("natjam"), PreemptPrimitive::NatjamCheckpoint);
   EXPECT_EQ(parse_primitive("checkpoint"), PreemptPrimitive::NatjamCheckpoint);
+  EXPECT_EQ(parse_primitive("requeue"), PreemptPrimitive::Requeue);
   EXPECT_THROW(parse_primitive("bogus"), SimError);
   EXPECT_STREQ(to_string(PreemptPrimitive::Suspend), "susp");
 }

@@ -36,9 +36,9 @@ namespace fs = std::filesystem;
 
 /// Layer directories whose state feeds scheduling/eviction decisions;
 /// DET-1 applies to files living under any of them.
-constexpr const char* kWatchedDirs[] = {"os",   "sim",  "sched",   "hadoop",
-                                        "yarn", "hdfs", "preempt", "net",
-                                        "trace", "fault"};
+constexpr const char* kWatchedDirs[] = {"os",      "sim", "sched", "hadoop", "hdfs",
+                                        "preempt", "net", "trace", "fault",  "policy",
+                                        "revoke"};
 
 bool lintable(const fs::path& p) {
   const std::string ext = p.extension().string();

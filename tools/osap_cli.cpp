@@ -1,6 +1,6 @@
 // osap — command-line front end for the simulator.
 //
-//   osap two-job  [--primitive wait|kill|susp|natjam] [--r 0.5]
+//   osap two-job  [--primitive P] [--r 0.5]
 //                 [--tl-state 0MiB] [--th-state 0MiB] [--runs 20] [--seed 42]
 //       The paper's two-job experiment; prints the §IV metrics.
 //
@@ -23,6 +23,9 @@
 //   osap trace    [--scheduler fifo|fair|hfsp|capacity|deadline]
 //                 [--primitive susp] [--jobs 12] [--nodes 4] [--seed 7]
 //       A SWIM-like trace under the chosen scheduler.
+//
+// A primitive P is any spelling in kPrimitiveSpellings
+// (src/preempt/primitive.hpp); usage() prints the list.
 //
 // `gantt`, `config` and `trace` also accept `--digest`: print the
 // simulation's event-trace FNV digest after the run. Two invocations with
@@ -395,7 +398,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: osap <two-job|sweep|gantt|config|trace> [flags]\n"
                "\n"
-               "  two-job  --primitive wait|kill|susp|natjam  --r 0.5\n"
+               "  two-job  --primitive P  --r 0.5\n"
                "           --tl-state 0MiB  --th-state 0MiB  --runs 20  --seed 42\n"
                "  sweep    --tl-state SZ  --th-state SZ  --seed 42\n"
                "           --matrix file.matrix  --set key=v1,v2  --digests\n"
@@ -413,7 +416,9 @@ int usage() {
                "  --speculation        enable speculative execution (docs/SPECULATION.md)\n"
                "  --spec-slowness X  --spec-cap N  --spec-min-runtime S\n"
                "\n"
-               "flags take --key value or --key=value; unknown flags are an error\n");
+               "primitives P: %s\n"
+               "flags take --key value or --key=value; unknown flags are an error\n",
+               kPrimitiveSpellings);
   return 1;
 }
 
