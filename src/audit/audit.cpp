@@ -6,6 +6,19 @@
 
 namespace osap {
 
+namespace {
+
+/// "[label] message", appended piece by piece: GCC 12 at -O3
+/// reports a false -Wrestrict inside `"[" + label + "] " + message`.
+std::string labelled(const std::string& label, const std::string& message) {
+  std::string out;
+  out.reserve(label.size() + message.size() + 3);
+  out.append("[").append(label).append("] ").append(message);
+  return out;
+}
+
+}  // namespace
+
 void AuditRegistry::add(InvariantAuditor* auditor) {
   if (auditor == nullptr) return;
   if (std::find(auditors_.begin(), auditors_.end(), auditor) != auditors_.end()) return;
@@ -28,7 +41,7 @@ void AuditRegistry::run(std::vector<std::string>& violations) const {
     std::vector<std::string> found;
     auditor->audit(found);
     for (std::string& message : found) {
-      violations.push_back("[" + auditor->audit_label() + "] " + std::move(message));
+      violations.push_back(labelled(auditor->audit_label(), message));
     }
   }
 }
@@ -53,7 +66,7 @@ AuditRegistry::SweepStats AuditRegistry::sweep(std::vector<std::string>& violati
       continue;
     }
     for (std::string& message : found) {
-      violations.push_back("[" + auditor->audit_label() + "] " + std::move(message));
+      violations.push_back(labelled(auditor->audit_label(), message));
     }
   }
   return stats;

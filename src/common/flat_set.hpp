@@ -22,6 +22,9 @@ class FlatIdSet {
   [[nodiscard]] const_iterator end() const noexcept { return v_.end(); }
   [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
+  /// The i-th smallest id; lets a walk step by position while the set
+  /// drops the element it is visiting.
+  [[nodiscard]] Id operator[](std::size_t i) const noexcept { return v_[i]; }
 
   [[nodiscard]] bool contains(Id id) const noexcept {
     const auto it = std::lower_bound(v_.begin(), v_.end(), id);

@@ -76,7 +76,9 @@ struct Job {
   /// copy from this job, given the attempt set it saw last scan; 0 =
   /// stale, rescan on the next heartbeat. Every ETA input (task state,
   /// progress, spec) is written through a JobTracker choke point that
-  /// resets this, so the cached bound never outlives its inputs.
+  /// resets this, so the cached bound never outlives its inputs. Written
+  /// only through JobTracker::set_spec_next_check, which files the job on
+  /// the speculation agenda by this bound.
   SimTime spec_next_check = 0;
 
   /// Sojourn time: submission to completion (§IV-B).

@@ -53,7 +53,7 @@ void index_task(Job& job, TaskId id, TaskState s, bool add) {
 }  // namespace
 
 JobTracker::JobTracker(Simulation& sim, Network& net, NodeId master, HadoopConfig cfg)
-    : sim_(sim), net_(net), master_(master), cfg_(cfg) {
+    : sim_(sim), net_(net), master_(master), cfg_(cfg), protocol_audit_(sim) {
   sim_.audits().add(this);
   tracer_ = &sim_.trace().tracer();
   trk_ = tracer_->track("cluster", "jobtracker");
@@ -127,8 +127,15 @@ void JobTracker::set_task_state(Task& task, TaskState to) {
   index_task(job, task.id, from, /*add=*/false);
   task.state = to;
   index_task(job, task.id, to, /*add=*/true);
+  if (from == TaskState::Suspended || to == TaskState::Suspended) {
+    if (job.suspended.empty()) {
+      jobs_with_suspended_.erase(job.id);
+    } else {
+      jobs_with_suspended_.insert(job.id);
+    }
+  }
   job.remaining_bytes += remaining_contrib(task);
-  job.spec_next_check = 0;
+  set_spec_next_check(job, 0);
   reindex_job(job);
   if (task.spec.type == TaskType::Map) {
     // The shuffle-barrier count tracks maps crossing the SUCCEEDED
@@ -151,6 +158,23 @@ void JobTracker::reindex_job(Job& job) {
   } else {
     schedulable_jobs_.erase(job.id);
   }
+  // A finished job leaves the speculation agenda; its wheel filings go
+  // stale and are dropped when they come due.
+  if (!running) spec_due_.erase(job.id);
+}
+
+void JobTracker::set_spec_next_check(Job& job, SimTime bound) {
+  job.spec_next_check = bound;
+  if (!cfg_.speculative_execution || job.state != JobState::Running) return;
+  if (bound <= sim_.now()) {
+    spec_due_.insert(job.id);
+    return;
+  }
+  spec_due_.erase(job.id);
+  if (bound < kTimeNever) {
+    spec_wheel_.push_back(SpecFiling{bound, job.id});
+    std::push_heap(spec_wheel_.begin(), spec_wheel_.end(), SpecFiling::later);
+  }
 }
 
 void JobTracker::set_task_spec(TaskId id, TaskSpec spec) {
@@ -159,7 +183,7 @@ void JobTracker::set_task_spec(TaskId id, TaskSpec spec) {
   job.remaining_bytes -= remaining_contrib(task);
   task.spec = std::move(spec);
   job.remaining_bytes += remaining_contrib(task);
-  job.spec_next_check = 0;
+  set_spec_next_check(job, 0);
   reindex_job(job);
 }
 
@@ -168,7 +192,7 @@ void JobTracker::set_task_progress(Task& task, double progress) {
   job.remaining_bytes -= remaining_contrib(task);
   task.progress = progress;
   job.remaining_bytes += remaining_contrib(task);
-  job.spec_next_check = 0;
+  set_spec_next_check(job, 0);
   reindex_job(job);
 }
 
@@ -180,8 +204,8 @@ void JobTracker::file_lease(std::uint32_t idx) {
 }
 
 void JobTracker::emit(ClusterEventType type, JobId job, TaskId task, NodeId node) {
-  if (event_hooks_.empty()) return;
   const ClusterEvent event{sim_.now(), type, job, task, node};
+  protocol_audit_.observe(event);
   for (const auto& hook : event_hooks_) hook(event);
 }
 
@@ -212,6 +236,7 @@ JobId JobTracker::submit_job(JobSpec spec) {
   job_order_.push_back(id);
   running_jobs_.insert(id);
   reindex_job(jobs_[id.value()]);
+  set_spec_next_check(jobs_[id.value()], 0);  // never scanned: due
   const Job& stored = jobs_[id.value()];
   tracer_->async_begin(trk_, "job", id.value(),
                        {{"name", stored.spec.name},
@@ -644,142 +669,170 @@ void JobTracker::maybe_speculate(const TrackerStatus& status, int free_maps, int
                                  HeartbeatResponse& response) {
   if (!cfg_.speculative_execution) return;
   if (free_maps <= 0 && free_reduces <= 0) return;
+  // Move the wheel filings that came due. A filing is live only while its
+  // job runs and still holds the bound it was filed under; the rest are
+  // stale refilings, dropped here.
+  const SimTime now = sim_.now();
+  while (!spec_wheel_.empty() && spec_wheel_.front().at <= now) {
+    const SpecFiling due = spec_wheel_.front();
+    std::pop_heap(spec_wheel_.begin(), spec_wheel_.end(), SpecFiling::later);
+    spec_wheel_.pop_back();
+    const Job& job = jobs_[due.job.value()];
+    if (job.state == JobState::Running && job.spec_next_check == due.at) {
+      spec_due_.insert(due.job);
+    }
+  }
+  spec_drained_at_ = now;
+  // The due set now holds exactly the running jobs whose bound is <= now,
+  // in ascending id; a job with a future bound provably launches nothing
+  // this heartbeat, so skipping it has no effect (docs/PERF.md).
   std::uint64_t scanned = 0;
-  for (JobId jid : running_jobs_) {
+  for (std::size_t i = 0; i < spec_due_.size();) {
     if (free_maps <= 0 && free_reduces <= 0) break;
+    const JobId jid = spec_due_[i];
     Job& job = jobs_[jid.value()];
     // Per-job budget of concurrently racing copies — a maintained count,
     // not a scan.
-    if (job.speculating >= cfg_.speculative_cap) continue;
-    const SimTime now = sim_.now();
-    // Between mutations of its attempt set, a job's ETAs are known linear
-    // functions of time, so the previous scan computed the earliest
-    // moment the slowness threshold could next be crossed — before that,
-    // this heartbeat's scan provably launches nothing.
-    if (now < job.spec_next_check) continue;
-    // Estimate time-to-completion for every attempt old enough to judge.
-    // ETA = remaining work / observed rate = (1-p) * elapsed / p; a stuck
-    // attempt (p ≈ 0) estimates infinite. The job mean is taken over the
-    // finite estimates only — with no trustworthy baseline (e.g. every
-    // attempt just launched, or a single stuck task) nothing speculates.
-    // Only live attempts are inspected: the job's live-task index, in
-    // ascending task id, is exactly the old filtered walk of job.tasks.
-    double eta_sum = 0;
-    double eta_max = 0;
-    int eta_count = 0;
-    // Linear ETA model per judged attempt j: eta_j(t) = k_j * (t - s_j)
-    // with k = (1-p)/p, aggregated as K = sum k and B = sum k*s so the
-    // future threshold test n*eta_j(t) > S*(K*t - B) solves in closed
-    // form below.
-    double k_total = 0;
-    double ks_total = 0;
-    SimTime next_join = kTimeNever;  // earliest min-runtime graduation
-    spec_scratch_.clear();  // candidates, in ascending task-id order
-    for (TaskId tid : job.live) {
-      const Task& t = tasks_[tid.value()];
-      if (t.attempt_started_at < 0) continue;
-      const Duration elapsed = now - t.attempt_started_at;
-      if (elapsed < cfg_.speculative_min_runtime) {
-        // Exact graduation instant: the first representable time at which
-        // the (t - s < R) youth test above flips. s + R can round below
-        // it (heartbeat-aligned starts resonate with R), which would pin
-        // the bound at `now` for a whole synchronized-heartbeat round.
-        SimTime join = t.attempt_started_at + cfg_.speculative_min_runtime;
-        while (join - t.attempt_started_at < cfg_.speculative_min_runtime) {
-          join = std::nextafter(join, kTimeNever);
-        }
-        next_join = std::min(next_join, join);
-        continue;
-      }
-      ++scanned;
-      double eta;
-      if (t.progress > 1e-9) {
-        eta = (1.0 - t.progress) * static_cast<double>(elapsed) / t.progress;
-        eta_sum += eta;
-        ++eta_count;
-        const double k = (1.0 - t.progress) / t.progress;
-        k_total += k;
-        ks_total += k * t.attempt_started_at;
-      } else {
-        eta = std::numeric_limits<double>::infinity();
-      }
-      if (eta > eta_max) eta_max = eta;
-      spec_scratch_.emplace_back(tid, eta);
+    if (job.speculating < cfg_.speculative_cap) {
+      scanned += speculate_job(job, status, free_maps, free_reduces, response);
     }
-    if (eta_count == 0) {
-      // No trustworthy baseline; one can only appear when a young attempt
-      // graduates past min-runtime (or a mutation resets the cache).
-      job.spec_next_check = next_join;
-      continue;
-    }
-    const double mean = eta_sum / eta_count;
-    // If even the slowest attempt clears the threshold, the launch pass
-    // below cannot trigger — skip it (an infinite ETA always exceeds).
-    if (eta_max <= cfg_.speculative_slowness * mean) {
-      // All judged ETAs are finite here (an infinite one would be
-      // eta_max). n*eta_j(t) - S*sum(eta_i(t)) is a max of linear
-      // functions of t: convex, currently <= 0, so it crosses zero at
-      // most once — at the earliest crossing among attempts whose ETA
-      // outgrows the threshold line (slope test d > 0). Graduations
-      // re-shape the set, so the bound is also capped at the next one;
-      // everything else that moves an ETA goes through a choke point
-      // that resets the cache.
-      const double S = cfg_.speculative_slowness;
-      const double n = eta_count;
-      SimTime cross = kTimeNever;
-      for (const auto& [tid, eta] : spec_scratch_) {
-        const Task& t = tasks_[tid.value()];
-        const double k = (1.0 - t.progress) / t.progress;
-        const double d = n * k - S * k_total;
-        if (d <= 0) continue;
-        cross = std::min(cross, (n * k * t.attempt_started_at - S * ks_total) / d);
-      }
-      // Conservative margin on the solved crossing: rescanning a hair
-      // early is free (the scan stays authoritative), skipping past a
-      // real crossing is not. The graduation bound is exact — no margin.
-      if (cross < kTimeNever) cross -= 1e-6 * std::max(1.0, std::abs(cross));
-      const SimTime bound = std::min(next_join, cross);
-      job.spec_next_check = bound > now ? bound : 0;
-      continue;
-    }
-    job.spec_next_check = 0;
-    // Candidates are scanned in ascending task id, which breaks ETA ties
-    // deterministically.
-    for (const auto& [tid, eta] : spec_scratch_) {
-      if (free_maps <= 0 && free_reduces <= 0) break;
-      if (job.speculating >= cfg_.speculative_cap) break;
-      if (eta <= cfg_.speculative_slowness * mean) continue;
-      Task& t = tasks_[tid.value()];
-      if (t.speculating()) continue;
-      if (t.tracker == status.tracker) continue;  // never race on the same tracker
-      if (kill_pending_on(tid, status.tracker)) continue;  // old attempt still dying here
-      int& slots = t.spec.type == TaskType::Map ? free_maps : free_reduces;
-      if (slots <= 0) continue;
-      --slots;
-      ++job.speculating;
-      t.spec_tracker = status.tracker;
-      t.spec_node = status.node;
-      t.spec_progress = 0;
-      t.spec_started_at = sim_.now();
-      ++t.attempts_started;
-      ++t.attempts_speculative;
-      // The copy starts from scratch: checkpoint files are node-local to
-      // the original's node, so no fast-forward. Barrier semantics
-      // (wait_for_maps) are inherited from the primary so both attempts
-      // are released together.
-      TaskSpec copy = t.spec;
-      copy.checkpoint_progress = 0;
-      copy.checkpoint_state = 0;
-      response.actions.push_back(TaskAction{ActionKind::Launch, tid, std::move(copy)});
-      ctr_spec_launched_->add();
-      tracer_->instant(sched_trk_, "speculate",
-                       {{"task", tid.value()}, {"tracker", status.tracker.value()}});
-      emit(ClusterEventType::TaskSpeculated, t.job, tid, status.node);
-      OSAP_LOG(Info, kLog) << "speculating " << tid << " on " << status.tracker
-                           << " (eta " << eta << "s vs job mean " << mean << "s)";
-    }
+    // A scan that refiled the job to a future bound took it out of the
+    // due set, which moved its successor into position i.
+    if (i < spec_due_.size() && spec_due_[i] == jid) ++i;
   }
   sim_.trace().profiler().add(trace::HotPath::SpeculationScan, scanned);
+}
+
+std::uint64_t JobTracker::speculate_job(Job& job, const TrackerStatus& status, int& free_maps,
+                                        int& free_reduces, HeartbeatResponse& response) {
+  const SimTime now = sim_.now();
+  std::uint64_t scanned = 0;
+  // Between mutations of its attempt set, a job's ETAs are known linear
+  // functions of time, so the previous scan computed the earliest moment
+  // the slowness threshold could next be crossed and filed the job on the
+  // wheel until then — before that, a scan provably launches nothing.
+  // Estimate time-to-completion for every attempt old enough to judge.
+  // ETA = remaining work / observed rate = (1-p) * elapsed / p; a stuck
+  // attempt (p ≈ 0) estimates infinite. The job mean is taken over the
+  // finite estimates only — with no trustworthy baseline (e.g. every
+  // attempt just launched, or a single stuck task) nothing speculates.
+  // Only live attempts are inspected: the job's live-task index, in
+  // ascending task id, is exactly the old filtered walk of job.tasks.
+  double eta_sum = 0;
+  double eta_max = 0;
+  int eta_count = 0;
+  // Linear ETA model per judged attempt j: eta_j(t) = k_j * (t - s_j)
+  // with k = (1-p)/p, aggregated as K = sum k and B = sum k*s so the
+  // future threshold test n*eta_j(t) > S*(K*t - B) solves in closed
+  // form below.
+  double k_total = 0;
+  double ks_total = 0;
+  SimTime next_join = kTimeNever;  // earliest min-runtime graduation
+  spec_scratch_.clear();  // candidates, in ascending task-id order
+  for (TaskId tid : job.live) {
+    const Task& t = tasks_[tid.value()];
+    if (t.attempt_started_at < 0) continue;
+    const Duration elapsed = now - t.attempt_started_at;
+    if (elapsed < cfg_.speculative_min_runtime) {
+      // Exact graduation instant: the first representable time at which
+      // the (t - s < R) youth test above flips. s + R can round below
+      // it (heartbeat-aligned starts resonate with R), which would pin
+      // the bound at `now` for a whole synchronized-heartbeat round.
+      SimTime join = t.attempt_started_at + cfg_.speculative_min_runtime;
+      while (join - t.attempt_started_at < cfg_.speculative_min_runtime) {
+        join = std::nextafter(join, kTimeNever);
+      }
+      next_join = std::min(next_join, join);
+      continue;
+    }
+    ++scanned;
+    double eta;
+    if (t.progress > 1e-9) {
+      eta = (1.0 - t.progress) * static_cast<double>(elapsed) / t.progress;
+      eta_sum += eta;
+      ++eta_count;
+      const double k = (1.0 - t.progress) / t.progress;
+      k_total += k;
+      ks_total += k * t.attempt_started_at;
+    } else {
+      eta = std::numeric_limits<double>::infinity();
+    }
+    if (eta > eta_max) eta_max = eta;
+    spec_scratch_.emplace_back(tid, eta);
+  }
+  if (eta_count == 0) {
+    // No trustworthy baseline; one can only appear when a young attempt
+    // graduates past min-runtime (or a mutation resets the cache).
+    set_spec_next_check(job, next_join);
+    return scanned;
+  }
+  const double mean = eta_sum / eta_count;
+  // If even the slowest attempt clears the threshold, the launch pass
+  // below cannot trigger — skip it (an infinite ETA always exceeds).
+  if (eta_max <= cfg_.speculative_slowness * mean) {
+    // All judged ETAs are finite here (an infinite one would be
+    // eta_max). n*eta_j(t) - S*sum(eta_i(t)) is a max of linear
+    // functions of t: convex, currently <= 0, so it crosses zero at
+    // most once — at the earliest crossing among attempts whose ETA
+    // outgrows the threshold line (slope test d > 0). Graduations
+    // re-shape the set, so the bound is also capped at the next one;
+    // everything else that moves an ETA goes through a choke point
+    // that resets the cache.
+    const double S = cfg_.speculative_slowness;
+    const double n = eta_count;
+    SimTime cross = kTimeNever;
+    for (const auto& [tid, eta] : spec_scratch_) {
+      const Task& t = tasks_[tid.value()];
+      const double k = (1.0 - t.progress) / t.progress;
+      const double d = n * k - S * k_total;
+      if (d <= 0) continue;
+      cross = std::min(cross, (n * k * t.attempt_started_at - S * ks_total) / d);
+    }
+    // Conservative margin on the solved crossing: rescanning a hair
+    // early is free (the scan stays authoritative), skipping past a
+    // real crossing is not. The graduation bound is exact — no margin.
+    if (cross < kTimeNever) cross -= 1e-6 * std::max(1.0, std::abs(cross));
+    const SimTime bound = std::min(next_join, cross);
+    set_spec_next_check(job, bound > now ? bound : 0);
+    return scanned;
+  }
+  set_spec_next_check(job, 0);
+  // Candidates are scanned in ascending task id, which breaks ETA ties
+  // deterministically.
+  for (const auto& [tid, eta] : spec_scratch_) {
+    if (free_maps <= 0 && free_reduces <= 0) break;
+    if (job.speculating >= cfg_.speculative_cap) break;
+    if (eta <= cfg_.speculative_slowness * mean) continue;
+    Task& t = tasks_[tid.value()];
+    if (t.speculating()) continue;
+    if (t.tracker == status.tracker) continue;  // never race on the same tracker
+    if (kill_pending_on(tid, status.tracker)) continue;  // old attempt still dying here
+    int& slots = t.spec.type == TaskType::Map ? free_maps : free_reduces;
+    if (slots <= 0) continue;
+    --slots;
+    ++job.speculating;
+    t.spec_tracker = status.tracker;
+    t.spec_node = status.node;
+    t.spec_progress = 0;
+    t.spec_started_at = sim_.now();
+    ++t.attempts_started;
+    ++t.attempts_speculative;
+    // The copy starts from scratch: checkpoint files are node-local to
+    // the original's node, so no fast-forward. Barrier semantics
+    // (wait_for_maps) are inherited from the primary so both attempts
+    // are released together.
+    TaskSpec copy = t.spec;
+    copy.checkpoint_progress = 0;
+    copy.checkpoint_state = 0;
+    response.actions.push_back(TaskAction{ActionKind::Launch, tid, std::move(copy)});
+    ctr_spec_launched_->add();
+    tracer_->instant(sched_trk_, "speculate",
+                     {{"task", tid.value()}, {"tracker", status.tracker.value()}});
+    emit(ClusterEventType::TaskSpeculated, t.job, tid, status.node);
+    OSAP_LOG(Info, kLog) << "speculating " << tid << " on " << status.tracker
+                         << " (eta " << eta << "s vs job mean " << mean << "s)";
+  }
+  return scanned;
 }
 
 void JobTracker::reset_attempt_state(Task& task) {
@@ -1219,6 +1272,38 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
       flag(s.id, " has ", filings[i], " lease-wheel filings (expected ", expected, ")");
     }
   }
+  // Speculation agenda: the due set holds only Running jobs whose bound
+  // has come, and every Running job with a finite bound is due or holds a
+  // live wheel filing (one that came due waits there for the next drain).
+  const SimTime now = sim_.now();
+  std::set<std::pair<SimTime, JobId>> filed;
+  for (const SpecFiling& f : spec_wheel_) {
+    filed.emplace(f.at, f.job);
+    if (f.job.value() >= jobs_.size()) {
+      flag("speculation wheel files unknown ", f.job);
+      continue;
+    }
+    const Job& job = jobs_[f.job.value()];
+    if (job.state == JobState::Running && job.spec_next_check == f.at &&
+        f.at <= spec_drained_at_) {
+      flag(f.job, " filed in the speculation wheel at t=", f.at,
+           " but the drain at t=", spec_drained_at_, " left it there");
+    }
+  }
+  if (!cfg_.speculative_execution && !filed.empty()) {
+    flag("speculation is off but the agenda wheel holds ", filed.size(), " filings");
+  }
+  for (JobId jid : spec_due_) {
+    if (jid.value() >= jobs_.size()) {
+      flag("speculation agenda holds unknown ", jid);
+    } else if (!cfg_.speculative_execution || jobs_[jid.value()].state != JobState::Running) {
+      flag(jid, " is due a straggler scan but is not a running job under speculation");
+    } else if (jobs_[jid.value()].spec_next_check > now) {
+      flag(jid, " is due a straggler scan with a future bound t=",
+           jobs_[jid.value()].spec_next_check);
+    }
+  }
+  FlatIdSet<JobId> with_suspended;
   const auto check_command_map = [&](const auto& map, const char* what) {
     for (const auto& [tid, unused] : map) {
       (void)unused;
@@ -1288,6 +1373,13 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
     if (unassigned != job.unassigned) flag(jid, " unassigned-task index out of sync");
     if (live != job.live) flag(jid, " live-task index out of sync");
     if (suspended != job.suspended) flag(jid, " suspended-task index out of sync");
+    if (!suspended.empty()) with_suspended.insert(jid);
+    if (cfg_.speculative_execution && job.state == JobState::Running &&
+        job.spec_next_check < kTimeNever && !spec_due_.contains(jid) &&
+        !filed.contains({job.spec_next_check, jid})) {
+      flag(jid, " has straggler-scan bound t=", job.spec_next_check,
+           " but is on no speculation agenda");
+    }
     if (not_done != job.not_done) flag(jid, " not-done-task index out of sync");
     if (remaining_bytes != job.remaining_bytes) {
       flag(jid, " remaining-bytes total is ", job.remaining_bytes, " but tasks sum to ",
@@ -1327,12 +1419,15 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
       flag(jid, " marked Failed without a completion time");
     }
   }
+  if (with_suspended != jobs_with_suspended_) flag("jobs-with-suspended index out of sync");
 }
 
 void JobTracker::dump(std::ostream& os) const {
   os << jobs_.size() << " jobs, " << tasks_.size() << " tasks; pending commands: "
      << command_sent_.size() << " susp/res, " << must_kill_.size() << " kill, "
-     << maps_done_pending_.size() << " maps-done\n";
+     << maps_done_pending_.size() << " maps-done; " << jobs_with_suspended_.size()
+     << " jobs with parked tasks; speculation agenda: " << spec_due_.size() << " due, "
+     << spec_wheel_.size() << " wheel filings\n";
   std::vector<TrackerId> lost;
   std::vector<TrackerId> blacklisted;
   for (const TrackerSlot& s : tracker_slots_) {

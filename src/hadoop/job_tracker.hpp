@@ -29,6 +29,7 @@
 #include "hadoop/events.hpp"
 #include "hadoop/heartbeat.hpp"
 #include "hadoop/job.hpp"
+#include "hadoop/protocol_audit.hpp"
 #include "hadoop/scheduler.hpp"
 #include "net/network.hpp"
 #include "sim/simulation.hpp"
@@ -144,6 +145,13 @@ class JobTracker final : public InvariantAuditor {
   [[nodiscard]] const FlatIdSet<JobId>& schedulable_jobs() const noexcept {
     return schedulable_jobs_;
   }
+  /// Jobs in any state with at least one SUSPENDED task, ascending id —
+  /// what the schedulers' resume walks iterate. A walk over running_jobs()
+  /// or jobs_in_order() visits the same jobs with a non-empty `suspended`
+  /// set in the same order, and the jobs it adds had nothing to resume.
+  [[nodiscard]] const FlatIdSet<JobId>& jobs_with_suspended() const noexcept {
+    return jobs_with_suspended_;
+  }
   [[nodiscard]] bool all_jobs_done() const;
   [[nodiscard]] TaskTracker* tracker(TrackerId id);
   [[nodiscard]] NodeId master_node() const noexcept { return master_; }
@@ -226,10 +234,16 @@ class JobTracker final : public InvariantAuditor {
   /// remaining-bytes total exact.
   void set_task_progress(Task& task, double progress);
   /// Refile `job` in the derived job indexes (jobs_by_remaining_,
-  /// schedulable_jobs_) after anything that can move its key or
-  /// membership: remaining-bytes changes, unassigned-pool transitions,
-  /// job completion or failure.
+  /// schedulable_jobs_, and the speculation agenda for a job that stopped
+  /// running) after anything that can move its key or membership:
+  /// remaining-bytes changes, unassigned-pool transitions, job completion
+  /// or failure.
   void reindex_job(Job& job);
+  /// The single write path for `Job::spec_next_check`: stores the bound
+  /// and files a Running job on the speculation agenda — in the due set
+  /// when the bound is <= now (0 = stale), in the wheel when it is a
+  /// finite future time, nowhere when it is kTimeNever.
+  void set_spec_next_check(Job& job, SimTime bound);
   /// File the tracker in the lease wheel at last_heartbeat + expiry.
   void file_lease(std::uint32_t idx);
 
@@ -253,6 +267,10 @@ class JobTracker final : public InvariantAuditor {
   /// `speculative_slowness` × the job mean.
   void maybe_speculate(const TrackerStatus& status, int free_maps, int free_reduces,
                        HeartbeatResponse& response);
+  /// One due job's straggler scan and launch pass; returns the attempts
+  /// it judged. Refiles the job through set_spec_next_check.
+  std::uint64_t speculate_job(Job& job, const TrackerStatus& status, int& free_maps,
+                              int& free_reduces, HeartbeatResponse& response);
   /// Drop the backup-attempt binding (race resolved or copy forfeited).
   void clear_speculative(Task& task);
   /// The primary attempt vanished while a copy was racing: adopt the copy
@@ -292,6 +310,9 @@ class JobTracker final : public InvariantAuditor {
   HadoopConfig cfg_;
   Scheduler* scheduler_ = nullptr;
   std::vector<std::function<void(const ClusterEvent&)>> event_hooks_;
+  /// Checks the §III-B round trips of every event emit() raises, ahead of
+  /// the hooks.
+  ProtocolAuditor protocol_audit_;
 
   /// Tracker hot state, index-addressed in registration order; the id ->
   /// index map is a lookup table only and is never iterated.
@@ -308,6 +329,29 @@ class JobTracker final : public InvariantAuditor {
   FlatIdSet<JobId> running_jobs_;
   std::set<std::pair<Bytes, JobId>> jobs_by_remaining_;
   FlatIdSet<JobId> schedulable_jobs_;
+  /// Jobs (any state) with a non-empty `suspended` set, kept beside it in
+  /// set_task_state.
+  FlatIdSet<JobId> jobs_with_suspended_;
+  /// Speculation agenda (docs/PERF.md). A Running job whose straggler scan
+  /// is due (spec_next_check <= now) sits in `spec_due_`; one whose bound
+  /// is a finite future time is filed in `spec_wheel_`, a min-heap on the
+  /// bound. Wheel filings are validated lazily, like the lease wheel's: a
+  /// filing is live only while its job runs and still holds that bound,
+  /// so refiling never searches the heap. maybe_speculate moves the live
+  /// filings that came due into `spec_due_`, then walks it.
+  struct SpecFiling {
+    SimTime at;
+    JobId job;
+    /// Heap order: the earliest bound on top.
+    [[nodiscard]] static bool later(const SpecFiling& a, const SpecFiling& b) noexcept {
+      return a.at > b.at;
+    }
+  };
+  FlatIdSet<JobId> spec_due_;
+  std::vector<SpecFiling> spec_wheel_;
+  /// When maybe_speculate last drained the wheel: no live filing may be
+  /// due at or before it (audited).
+  SimTime spec_drained_at_ = -1;
   /// Straggler-scan scratch (candidate attempts of one job); a member so
   /// the per-heartbeat scan reuses one allocation.
   std::vector<std::pair<TaskId, double>> spec_scratch_;

@@ -12,28 +12,31 @@
 // the offending transition.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "common/ids.hpp"
+#include "hadoop/events.hpp"
 
 namespace osap {
 
-class JobTracker;
 class Simulation;
 
+/// Owned by the JobTracker, one per tracker, which feeds it every event
+/// it emits — so each protocol violation is reported exactly once.
 class ProtocolAuditor final : public InvariantAuditor {
  public:
-  /// Hooks into `jt`'s event stream and registers with its simulation's
-  /// audit registry. The observer state is shared with the event hook, so
-  /// destroying the auditor before the JobTracker is safe.
-  explicit ProtocolAuditor(JobTracker& jt);
+  /// Registers with `sim`'s audit registry.
+  explicit ProtocolAuditor(Simulation& sim);
   ~ProtocolAuditor() override;
   ProtocolAuditor(const ProtocolAuditor&) = delete;
   ProtocolAuditor& operator=(const ProtocolAuditor&) = delete;
+
+  /// Advance the observed task's round trip; buffers a violation if the
+  /// event is illegal in the task's current phase.
+  void observe(const ClusterEvent& e);
 
   [[nodiscard]] std::string audit_label() const override { return "preempt-protocol"; }
   void audit(std::vector<std::string>& violations) const override;
@@ -42,11 +45,17 @@ class ProtocolAuditor final : public InvariantAuditor {
  private:
   /// Where a task stands in the suspend/resume round trips.
   enum class Phase { None, SuspendRequested, Suspended, ResumeRequested };
+  [[nodiscard]] static const char* phase_name(Phase p) noexcept;
 
-  struct Observer;
-
-  Simulation* sim_;
-  std::shared_ptr<Observer> obs_;
+  Simulation& sim_;
+  std::unordered_map<TaskId, Phase> phase_by_task_;
+  /// Node of the attempt whose suspend round trip is in flight: a kill
+  /// aimed at a *different* node reaps a speculative copy and must not
+  /// void the original's round trip.
+  std::unordered_map<TaskId, NodeId> suspend_node_by_task_;
+  /// Buffered until the next audit sweep, which drains them (audit() is
+  /// const to the registry; the buffer is not model state).
+  mutable std::vector<std::string> violations_;
 };
 
 }  // namespace osap

@@ -5,21 +5,17 @@
 // once the high-priority work is done.
 #pragma once
 
-#include <memory>
-
 #include "common/ids.hpp"
 #include "hadoop/job_tracker.hpp"
 #include "preempt/primitive.hpp"
-#include "preempt/protocol_audit.hpp"
 
 namespace osap {
 
 class Preemptor {
  public:
-  /// Also attaches a ProtocolAuditor to the JobTracker, so any experiment
-  /// driving preemption gets the suspend/resume ordering checked for free.
-  explicit Preemptor(JobTracker& jt)
-      : jt_(&jt), protocol_audit_(std::make_shared<ProtocolAuditor>(jt)) {}
+  /// The JobTracker's own ProtocolAuditor checks the suspend/resume
+  /// ordering of every order issued here.
+  explicit Preemptor(JobTracker& jt) : jt_(&jt) {}
 
   /// Apply the primitive to the victim task. Returns false if the task
   /// was not in a preemptable state (e.g. it already finished).
@@ -32,8 +28,6 @@ class Preemptor {
 
  private:
   JobTracker* jt_;
-  /// Shared so Preemptor copies observe through one state machine.
-  std::shared_ptr<ProtocolAuditor> protocol_audit_;
 };
 
 }  // namespace osap

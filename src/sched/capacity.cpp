@@ -135,7 +135,7 @@ std::vector<TaskId> CapacityScheduler::assign(const TrackerStatus& status) {
   if (!someone_waiting) {
     // Suspended tasks of every job, Running or not (request_resume only
     // queues; transitions happen in on_heartbeat below).
-    for (JobId jid : jt_->jobs_in_order()) {
+    for (JobId jid : jt_->jobs_with_suspended()) {
       for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
     }
   }

@@ -53,9 +53,11 @@ void FairScheduler::resume_where_possible(const TrackerStatus& status, int& free
     }
   }
   if (!someone_waiting) {
-    for (JobId jid : jt_->running_jobs()) {
+    for (JobId jid : jt_->jobs_with_suspended()) {
+      const Job& job = jt_->job(jid);
+      if (job.state != JobState::Running) continue;
       // request_resume only queues; transitions happen in on_heartbeat.
-      for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
+      for (TaskId tid : job.suspended) resume_policy_->request_resume(tid);
     }
   }
   free_maps -= resume_policy_->on_heartbeat(status);

@@ -45,9 +45,10 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   // slot can sit next to a parked task until the victim's job finally
   // becomes head — which for the fattest job means the end of the run.
   if (jt_->job(head).unassigned.empty()) {
-    for (JobId jid : jt_->running_jobs()) {
-      if (jid == head) continue;
-      for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
+    for (JobId jid : jt_->jobs_with_suspended()) {
+      const Job& job = jt_->job(jid);
+      if (jid == head || job.state != JobState::Running) continue;
+      for (TaskId tid : job.suspended) resume_policy_->request_resume(tid);
     }
   }
   int free_maps = status.free_map_slots;

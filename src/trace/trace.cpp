@@ -58,29 +58,28 @@ TraceValue::TraceValue(std::uint64_t v) : json_(std::to_string(v)) {}
 TraceValue::TraceValue(int v) : json_(std::to_string(v)) {}
 
 TrackId Tracer::track(const std::string& process, const std::string& thread) {
-  for (TrackId i = 0; i < tracks_.size(); ++i) {
-    if (tracks_[i].process == process && tracks_[i].thread == thread) return i;
-  }
+  // track_order_ is sorted by (process, thread): find this process's run
+  // of tracks, then the thread's place inside it.
+  const auto run_begin =
+      std::partition_point(track_order_.begin(), track_order_.end(),
+                           [&](TrackId id) { return tracks_[id].process < process; });
+  const auto run_end =
+      std::partition_point(run_begin, track_order_.end(),
+                           [&](TrackId id) { return tracks_[id].process == process; });
+  const auto at = std::partition_point(
+      run_begin, run_end, [&](TrackId id) { return tracks_[id].thread < thread; });
+  if (at != run_end && tracks_[*at].thread == thread) return *at;
+  // pid: order of first appearance of the process name; tid: per-process
+  // registration order. Both 1-based — Perfetto hides pid/tid 0 quirks.
   Track t;
   t.process = process;
   t.thread = thread;
-  // pid: order of first appearance of the process name; tid: per-process
-  // registration order. Both 1-based — Perfetto hides pid/tid 0 quirks.
-  int max_tid = 0;
-  for (const Track& existing : tracks_) {
-    if (existing.process == process) {
-      t.pid = existing.pid;
-      max_tid = std::max(max_tid, existing.tid);
-    }
-  }
-  if (t.pid == 0) {
-    int max_pid = 0;
-    for (const Track& existing : tracks_) max_pid = std::max(max_pid, existing.pid);
-    t.pid = max_pid + 1;
-  }
-  t.tid = max_tid + 1;
+  t.pid = run_begin == run_end ? ++processes_ : tracks_[*run_begin].pid;
+  t.tid = static_cast<int>(run_end - run_begin) + 1;
+  const auto id = static_cast<TrackId>(tracks_.size());
   tracks_.push_back(std::move(t));
-  return static_cast<TrackId>(tracks_.size() - 1);
+  track_order_.insert(at, id);
+  return id;
 }
 
 void Tracer::push(TrackId t, char phase, const char* name, std::uint64_t id, TraceArgs args) {

@@ -12,8 +12,9 @@
 #include "common/error.hpp"
 #include "hadoop/cluster.hpp"
 #include "os/kernel.hpp"
-#include "preempt/protocol_audit.hpp"
+#include "preempt/preemptor.hpp"
 #include "sched/dummy.hpp"
+#include "sched/hfsp.hpp"
 #include "sim/simulation.hpp"
 #include "workload/profiles.hpp"
 
@@ -200,14 +201,35 @@ TEST(JobTrackerAudit, TrackerBindingCorruptionFires) {
 }
 
 TEST(ProtocolAudit, AckWithoutRequestFires) {
+  // Every JobTracker owns its protocol auditor: no scheduler or
+  // Preemptor is needed for the check to run.
   Cluster cluster(paper_cluster());
-  ProtocolAuditor auditor(cluster.job_tracker());
   // A SUSPENDED acknowledgement with no MUST_SUSPEND round trip before it
   // breaks the §III-B ordering.
   cluster.job_tracker().testing_emit_event(ClusterEventType::TaskSuspended, JobId{},
                                            TaskId{7}, NodeId{});
   expect_audit_failure([&] { cluster.sim().audit_now(); },
                        {"[preempt-protocol]", "task-suspended", "while in phase none"});
+}
+
+TEST(ProtocolAudit, ViolationIsReportedOnceWhateverDrivesPreemption) {
+  // The scheduler's policy engine and a second engine (as a revocation
+  // manager is) each hold a Preemptor; the violation still appears once.
+  Cluster cluster(paper_cluster());
+  cluster.set_scheduler(std::make_unique<HfspScheduler>());
+  Preemptor second_engine(cluster.job_tracker());
+  cluster.job_tracker().testing_emit_event(ClusterEventType::TaskSuspended, JobId{},
+                                           TaskId{7}, NodeId{});
+  try {
+    cluster.sim().audit_now();
+    FAIL() << "expected the audit to throw SimError";
+  } catch (const SimError& e) {
+    const std::string what = e.what();
+    const std::string needle = "[preempt-protocol] task_7: task-suspended";
+    const std::size_t first = what.find(needle);
+    ASSERT_NE(first, std::string::npos) << what;
+    EXPECT_EQ(what.find(needle, first + 1), std::string::npos) << what;
+  }
 }
 
 TEST(ProtocolAudit, LegalRoundTripStaysSilent) {

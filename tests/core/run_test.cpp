@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "workload/two_job.hpp"
@@ -164,6 +169,32 @@ TEST(RunFacade, ResumeOfATaskWithAPendingKillIsRefused) {
   const ResultRecord rec = run_descriptor(
       RunDescriptor::parse("workload=trace;scheduler=hfsp;primitive=susp;jobs=8;nodes=4;seed=3"));
   EXPECT_TRUE(rec.ok) << rec.error;
+}
+
+// A revocation cell drives preemption from two engines, the scheduler's
+// and the revocation manager's. Each used to attach its own protocol
+// auditor, so every violation was reported twice; the JobTracker now owns
+// the only one.
+TEST(RunFacade, ARevocationCellRegistersOneProtocolAuditor) {
+  const std::filesystem::path counters =
+      std::filesystem::path(::testing::TempDir()) / "revoke_cell_counters.json";
+  RunOptions opts;
+  opts.counters_file = counters.string();
+  const ResultRecord rec = run_descriptor(
+      RunDescriptor::parse("workload=trace;scheduler=hfsp;primitive=susp;jobs=24;nodes=6;"
+                           "lifetime_model=exp;lifetime_mean_s=450;warning_s=20;node_mix=0.5;"
+                           "revoke_react=checkpoint;seed=12"),
+      opts);
+  ASSERT_TRUE(rec.ok) << rec.error;
+  std::ifstream in(counters);
+  std::stringstream json;
+  json << in.rdbuf();
+  const std::string text = json.str();
+  const std::string label = "\"label\":\"preempt-protocol\"";
+  const std::size_t first = text.find(label);
+  ASSERT_NE(first, std::string::npos) << text;
+  EXPECT_EQ(text.find(label, first + 1), std::string::npos) << text;
+  std::filesystem::remove(counters);
 }
 
 }  // namespace

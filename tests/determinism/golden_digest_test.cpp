@@ -47,6 +47,19 @@ TEST(GoldenDigest, RevocationStorm) {
   EXPECT_EQ(run_revocation_storm(11), 0x40bfb14cec8f5268ull);
 }
 
+// Captured before the per-heartbeat job walks became indexes (the jobs
+// with parked tasks, the speculation agenda): HFSP + susp + speculation
+// under contention. The counts guard the golden's reach — a workload that
+// stopped suspending, resuming non-head victims or launching copies would
+// pin nothing those indexes do.
+TEST(GoldenDigest, HfspSpeculationContention) {
+  HfspSpeculationStats stats;
+  EXPECT_EQ(run_hfsp_speculation(5, false, &stats), 0x258847d50b8d4ba5ull);
+  EXPECT_GT(stats.suspends, 0);
+  EXPECT_GT(stats.non_head_resumes, 0);
+  EXPECT_GT(stats.speculative_launches, 0);
+}
+
 // Captured before the preempting schedulers' two eviction paths (direct
 // primitive vs policy engine) were folded into one: pins each of fair,
 // capacity, hfsp and deadline under kill, susp and natjam, with the

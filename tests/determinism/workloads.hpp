@@ -246,6 +246,70 @@ inline std::uint64_t run_tie_heavy(std::uint64_t seed, bool tracing = false) {
   return cluster.trace_digest();
 }
 
+/// What the size-based contention run exercised, counted from the
+/// JobTracker's event stream.
+struct HfspSpeculationStats {
+  int suspends = 0;
+  /// Resume requests for a task whose job was not the HFSP head (the
+  /// front of the remaining-size order) when the request was issued.
+  int non_head_resumes = 0;
+  int speculative_launches = 0;
+};
+
+/// HFSP + susp with speculation on, under contention: three multi-task
+/// jobs with uneven task sizes fill every slot, then a stream of small
+/// jobs keeps preempting them. Parked victims come back through the
+/// non-head resume walk once a head job has no queued work, and the
+/// frozen progress of a parked attempt makes it look like a straggler,
+/// so copies launch too — some on the heartbeat of a tracker hosting
+/// none of the job's attempts, which only a straggler bound coming due
+/// on its own can trigger. Both per-heartbeat indexes — jobs with parked
+/// tasks and the speculation agenda — feed the digest.
+inline std::uint64_t run_hfsp_speculation(std::uint64_t seed, bool tracing = false,
+                                          HfspSpeculationStats* stats = nullptr) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.num_nodes = 8;
+  cfg.hadoop.map_slots = 2;
+  cfg.hadoop.speculative_execution = true;
+  cfg.hadoop.speculative_min_runtime = seconds(10);
+  cfg.hadoop.speculative_cap = 2;
+  cfg.seed = seed;
+  cfg.trace.enabled = tracing;
+  Cluster cluster(cfg);
+  HfspScheduler::Options options;
+  options.primitive = PreemptPrimitive::Suspend;
+  cluster.set_scheduler(std::make_unique<HfspScheduler>(options));
+  JobTracker& jt = cluster.job_tracker();
+  if (stats != nullptr) {
+    jt.add_event_hook([&jt, stats](const ClusterEvent& e) {
+      if (e.type == ClusterEventType::TaskSuspended) ++stats->suspends;
+      if (e.type == ClusterEventType::TaskSpeculated) ++stats->speculative_launches;
+      if (e.type == ClusterEventType::TaskResumeRequested &&
+          (jt.jobs_by_remaining().empty() || jt.jobs_by_remaining().begin()->second != e.job)) {
+        ++stats->non_head_resumes;
+      }
+    });
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 3; ++i) {
+    JobSpec spec;
+    spec.name = "big" + std::to_string(i);
+    for (int t = 0; t < 8; ++t) {
+      spec.tasks.push_back(jitter_task(light_map_task((96 + 48 * t) * MiB), rng, 0.1));
+    }
+    cluster.submit(spec);
+  }
+  for (int i = 0; i < 12; ++i) {
+    TaskSpec small = jitter_task(light_map_task(48 * MiB), rng, 0.1);
+    cluster.sim().at(8.0 + 11.0 * i, [&cluster, i, small] {
+      cluster.submit(single_task_job("small" + std::to_string(i), 0, small));
+    });
+  }
+  cluster.run_until(3000.0);
+  EXPECT_TRUE(jt.all_jobs_done());
+  return cluster.trace_digest();
+}
+
 /// A revocation storm: half the cluster is transient with short sampled
 /// lifetimes, each death preceded by a warning, and the manager rescues
 /// work Natjam-style (checkpoint on warning, evacuate, resume). The

@@ -85,10 +85,16 @@ TEST(ClusterIntegration, SuspendResumeCompletesWithFrozenProgress) {
   rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.5,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
-  rig.cluster.sim().at(60.0, [&] { rig.ds->restore("tl", 0, PreemptPrimitive::Suspend); });
+  rig.cluster.sim().at(60.0, [&] {
+    // Parked: the schedulers' resume walks find the job through this index.
+    EXPECT_TRUE(
+        rig.cluster.job_tracker().jobs_with_suspended().contains(rig.ds->job_of("tl")));
+    rig.ds->restore("tl", 0, PreemptPrimitive::Suspend);
+  });
   rig.cluster.run();
   const Job& job = rig.cluster.job_tracker().job(rig.ds->job_of("tl"));
   EXPECT_EQ(job.state, JobState::Succeeded);
+  EXPECT_TRUE(rig.cluster.job_tracker().jobs_with_suspended().empty());
   // Suspended from ~40 s to ~60 s: completion shifts by the parked time,
   // no work is lost.
   EXPECT_GT(job.sojourn(), 95.0);

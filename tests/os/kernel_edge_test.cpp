@@ -134,9 +134,10 @@ TEST(KernelEdge, ConcurrentHungryProcessesBothComplete) {
   Fixture f;
   int done = 0;
   for (int i = 0; i < 3; ++i) {
-    // Named local sidesteps GCC 12's -Wrestrict false positive on
-    // literal + to_string temporaries (PR105329).
-    const std::string name = "p" + std::to_string(i);
+    // Appended, not `"p" + std::to_string(i)`: GCC 12 at -O3
+    // reports a false -Wrestrict on literal + temporary (GCC bug 105329).
+    std::string name = "p";
+    name += std::to_string(i);
     f.kernel.spawn(ProgramBuilder(name)
                        .alloc("state", 500 * MiB)
                        .compute(2.0)

@@ -56,9 +56,10 @@ TEST_P(VmmFuzz, RandomOperationSequencesConserveMemory) {
     const Pid pid{static_cast<std::uint64_t>(i)};
     pids.push_back(pid);
     f.vmm.register_process(pid);
-    // Named local sidesteps GCC 12's -Wrestrict false positive on
-    // literal + to_string temporaries (PR105329).
-    const std::string rname = "r" + std::to_string(i);
+    // Appended, not `"r" + std::to_string(i)`: GCC 12 at -O3
+    // reports a false -Wrestrict on literal + temporary (GCC bug 105329).
+    std::string rname = "r";
+    rname += std::to_string(i);
     regions.push_back(f.vmm.create_region(pid, rname));
   }
   f.vmm.set_oom_handler([&] {

@@ -83,7 +83,10 @@ uint64_t run_gang_digest(uint64_t seed) {
   cluster.set_scheduler(std::make_unique<FifoScheduler>());
   Rng rng(seed);
   for (int i = 0; i < 3; ++i) {
-    const std::string name = "g" + std::to_string(i);
+    // Appended, not `"g" + std::to_string(i)`: GCC 12 at -O3
+    // reports a false -Wrestrict on literal + temporary (GCC bug 105329).
+    std::string name = "g";
+    name += std::to_string(i);
     JobSpec spec = single_task_job(name, 0, jitter_task(light_map_task(64 * MiB), rng));
     spec.tasks.push_back(jitter_task(light_map_task(64 * MiB), rng));
     cluster.submit(spec);
