@@ -1,5 +1,5 @@
-// Shared helpers for the figure-reproduction benches: run the two-job
-// scenario over N seeded repetitions and aggregate the paper's metrics.
+// Shared helpers for the study benches: the paper's repetition count and
+// a common banner.
 #pragma once
 
 #include <cstdio>
@@ -15,40 +15,6 @@ namespace osap::bench {
 
 /// Number of repetitions per data point — the paper averages 20 runs.
 inline constexpr int kRuns = 20;
-
-struct TwoJobStats {
-  RunningStat sojourn_th;
-  RunningStat sojourn_tl;
-  RunningStat makespan;
-  RunningStat tl_swapped_out_mib;
-};
-
-inline TwoJobStats run_point(PreemptPrimitive primitive, double r, Bytes tl_state,
-                             Bytes th_state, int runs = kRuns) {
-  TwoJobStats stats;
-  const auto agg = ExperimentRunner::run(
-      [&](std::uint64_t seed, int) {
-        TwoJobParams params;
-        params.primitive = primitive;
-        params.progress_at_launch = r;
-        params.tl_state = tl_state;
-        params.th_state = th_state;
-        params.seed = seed;
-        const TwoJobResult res = run_two_job(params);
-        return MetricMap{
-            {"sojourn_th", res.sojourn_th},
-            {"sojourn_tl", res.sojourn_tl},
-            {"makespan", res.makespan},
-            {"tl_swapped_out_mib", to_mib(res.tl_swapped_out)},
-        };
-      },
-      runs);
-  stats.sojourn_th = agg.at("sojourn_th");
-  stats.sojourn_tl = agg.at("sojourn_tl");
-  stats.makespan = agg.at("makespan");
-  stats.tl_swapped_out_mib = agg.at("tl_swapped_out_mib");
-  return stats;
-}
 
 inline void print_header(const char* title, const char* paper_ref) {
   std::printf("\n==============================================================\n");

@@ -83,17 +83,16 @@ ScaleResult run_scale(int nodes, int jobs, const ScaleOpts& opts = {}) {
   swim.max_tasks = 12;
   swim.stateful_fraction = 0.2;
   Rng rng(11);
-  auto ids = std::make_shared<std::vector<JobId>>();
   for (SwimJob& job : generate_swim_trace(swim, rng)) {
-    cluster.sim().at(job.arrival, [&cluster, ids, spec = std::move(job.spec)]() mutable {
-      ids->push_back(cluster.submit(std::move(spec)));
-    });
+    cluster.submit_at(job.arrival, std::move(job.spec));
   }
   cluster.run();
   const auto end = std::chrono::steady_clock::now();
 
   RunningStat sojourn;
-  for (JobId id : *ids) sojourn.add(cluster.job_tracker().job(id).sojourn());
+  for (JobId id : cluster.job_tracker().jobs_in_order()) {
+    sojourn.add(cluster.job_tracker().job(id).sojourn());
+  }
   const ScaleResult res{
       std::chrono::duration<double, std::milli>(end - start).count(),
       cluster.sim().now(),

@@ -30,31 +30,26 @@ MetricMap run_primitive(PreemptPrimitive primitive, std::uint64_t seed) {
   JobSpec bg;
   bg.name = "background";
   for (int i = 0; i < 2; ++i) bg.tasks.push_back(jitter_task(light_map_task(), rng));
-  JobId bg_id{};
-  cluster.sim().at(0.05, [&cluster, &bg_id, bg] { bg_id = cluster.submit(bg); });
+  cluster.submit_at(0.05, bg);
 
   // Three urgent arrivals: each an ~40 s task with ~65 s of headroom.
-  auto urgent_ids = std::make_shared<std::vector<JobId>>();
-  auto deadlines = std::make_shared<std::vector<SimTime>>();
   for (int i = 0; i < 3; ++i) {
     const SimTime arrival = 25.0 + 110.0 * i;
-    const SimTime deadline = arrival + 65.0;
-    deadlines->push_back(deadline);
     JobSpec spec = single_task_job("urgent" + std::to_string(i), 0,
                                    jitter_task(light_map_task(256 * MiB), rng));
-    spec.deadline = deadline;
-    cluster.sim().at(arrival, [&cluster, urgent_ids, spec] {
-      urgent_ids->push_back(cluster.submit(spec));
-    });
+    spec.deadline = arrival + 65.0;
+    cluster.submit_at(arrival, spec);
   }
   cluster.run();
 
+  // Ids follow arrival order: the background job, then the urgent ones.
   const JobTracker& jt = cluster.job_tracker();
+  const JobId bg_id = jt.jobs_in_order().front();
   int misses = 0;
   double lateness = 0;
-  for (std::size_t i = 0; i < urgent_ids->size(); ++i) {
-    const Job& job = jt.job((*urgent_ids)[i]);
-    const double over = job.completed_at - (*deadlines)[i];
+  for (std::size_t i = 1; i < jt.jobs_in_order().size(); ++i) {
+    const Job& job = jt.job(jt.jobs_in_order()[i]);
+    const double over = job.completed_at - job.spec.deadline;
     if (over > 0) {
       ++misses;
       lateness += over;

@@ -30,8 +30,8 @@ MetricMap run_policy(EvictionPolicy policy, std::uint64_t seed) {
   TaskSpec high = jitter_task(hungry_map_task(gib(1.5)), rng);
   hungry.preferred_node = light.preferred_node = high.preferred_node = cluster.node(0);
 
-  ds.submit_at(0.05, single_task_job("low_hungry", 0, hungry));
-  ds.submit_at(15.0, single_task_job("low_light", 0, light));
+  cluster.submit_at(0.05, single_task_job("low_hungry", 0, hungry));
+  cluster.submit_at(15.0, single_task_job("low_light", 0, light));
 
   auto victim = std::make_shared<TaskId>();
   ds.at_progress("low_hungry", 0, 0.6, [&cluster, &ds, high, policy, victim] {

@@ -22,7 +22,7 @@ void render(PreemptPrimitive primitive) {
   TaskSpec tl = light_map_task();
   TaskSpec th = light_map_task();
   tl.preferred_node = th.preferred_node = cluster.node(0);
-  ds.submit_at(0.05, single_task_job("tl", 0, tl));
+  cluster.submit_at(0.05, single_task_job("tl", 0, tl));
   ds.at_progress("tl", 0, 0.5, [&cluster, &ds, th, primitive] {
     cluster.submit(single_task_job("th", 10, th));
     ds.preempt("tl", 0, primitive);

@@ -31,7 +31,7 @@ MetricMap run_variant(double state_lifetime, std::uint64_t seed) {
   tl.state_lifetime = state_lifetime;
   TaskSpec th = jitter_task(hungry_map_task(2 * GiB), rng);
   tl.preferred_node = th.preferred_node = cluster.node(0);
-  ds.submit_at(0.05, single_task_job("tl", 0, tl));
+  cluster.submit_at(0.05, single_task_job("tl", 0, tl));
   ds.at_progress("tl", 0, 0.6, [&cluster, &ds, th] {
     cluster.submit(single_task_job("th", 10, th));
     ds.preempt("tl", 0, PreemptPrimitive::Suspend);

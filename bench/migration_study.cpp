@@ -39,7 +39,7 @@ MetricMap run_strategy(Strategy strategy, Bytes state, std::uint64_t seed) {
   cluster.set_scheduler(std::move(sched));
 
   TaskSpec tl = jitter_task(state > 0 ? hungry_map_task(state) : light_map_task(), rng);
-  ds.submit_at(0.05, single_task_job("tl", 0, tl));
+  cluster.submit_at(0.05, single_task_job("tl", 0, tl));
   ds.at_progress("tl", 0, 0.5, [&cluster, &ds, &rng] {
     for (int i = 0; i < 2; ++i) {
       TaskSpec high = jitter_task(light_map_task(), rng);

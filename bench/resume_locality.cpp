@@ -31,7 +31,7 @@ MetricMap run_threshold(Duration threshold, std::uint64_t seed) {
   // tl itself is unpinned: tracker 0 heartbeats first, so it launches on
   // node 0, and after a delayed kill it may restart on the idle node 1.
   TaskSpec tl = jitter_task(light_map_task(), rng);
-  ds.submit_at(0.05, single_task_job("tl", 0, tl));
+  cluster.submit_at(0.05, single_task_job("tl", 0, tl));
 
   // At 50% of tl: suspend it and hand node 0 to two back-to-back
   // high-priority tasks (~160 s of occupancy).

@@ -30,7 +30,7 @@ MetricMap run_split(Bytes split, PreemptPrimitive primitive, std::uint64_t seed)
   tl.priority = 0;
   const int pieces = static_cast<int>((512 * MiB) / split);
   for (int i = 0; i < pieces; ++i) tl.tasks.push_back(jitter_task(light_map_task(split), rng));
-  ds.submit_at(0.05, tl);
+  cluster.submit_at(0.05, tl);
 
   // th arrives mid-way through tl's total work.
   TaskSpec th = jitter_task(light_map_task(), rng);

@@ -29,7 +29,7 @@ MetricMap run_cycles(int cycles, std::uint64_t seed) {
 
   TaskSpec tl = jitter_task(hungry_map_task(gib(2.5), gib(1.5)), rng);
   tl.preferred_node = cluster.node(0);
-  ds.submit_at(0.05, single_task_job("tl", 0, tl));
+  cluster.submit_at(0.05, single_task_job("tl", 0, tl));
 
   // Cycle i: suspend tl, run a hungry high-priority task, resume tl.
   for (int i = 0; i < cycles; ++i) {

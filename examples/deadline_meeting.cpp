@@ -24,21 +24,17 @@ int main(int argc, char** argv) {
   options.laxity_margin = seconds(20);
   cluster.set_scheduler(std::make_unique<DeadlineScheduler>(options));
 
-  JobId background{}, urgent{};
-  cluster.sim().at(0.1, [&] {
-    background = cluster.submit(single_task_job("background", 0, light_map_task()));
-  });
+  cluster.submit_at(0.1, single_task_job("background", 0, light_map_task()));
   const SimTime deadline = 115.0;
-  cluster.sim().at(20.0, [&] {
-    JobSpec spec = single_task_job("urgent", 0, light_map_task());
-    spec.deadline = deadline;
-    urgent = cluster.submit(spec);
-  });
+  JobSpec urgent = single_task_job("urgent", 0, light_map_task());
+  urgent.deadline = deadline;
+  cluster.submit_at(20.0, urgent);
   cluster.run();
 
+  // Ids follow arrival order.
   const JobTracker& jt = cluster.job_tracker();
-  const Job& u = jt.job(urgent);
-  const Job& bg = jt.job(background);
+  const Job& bg = jt.job(jt.jobs_in_order()[0]);
+  const Job& u = jt.job(jt.jobs_in_order()[1]);
   std::printf("primitive: %s\n\n%s\n", to_string(primitive), timeline.render_gantt(3.0).c_str());
   std::printf("urgent job:    done at %.1f s, deadline %.0f s -> %s\n", u.completed_at, deadline,
               u.completed_at <= deadline ? "MET" : "MISSED");

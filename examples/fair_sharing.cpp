@@ -25,16 +25,13 @@ int main() {
 
   // A hog takes the only slot; a latecomer starves until the scheduler
   // preempts on its behalf.
-  JobId hog_id{}, late_id{};
-  cluster.sim().at(0.1, [&] {
-    hog_id = cluster.submit(single_task_job("hog", 0, light_map_task()));
-  });
-  cluster.sim().at(10.0, [&] {
-    late_id = cluster.submit(single_task_job("latecomer", 0, light_map_task()));
-  });
+  cluster.submit_at(0.1, single_task_job("hog", 0, light_map_task()));
+  cluster.submit_at(10.0, single_task_job("latecomer", 0, light_map_task()));
   cluster.run();
 
   const JobTracker& jt = cluster.job_tracker();
+  const JobId hog_id = jt.jobs_in_order()[0];  // ids follow arrival order
+  const JobId late_id = jt.jobs_in_order()[1];
   std::printf("preemptions issued by FAIR: %d\n\n", fair->preemptions_issued());
   std::printf("%s\n", timeline.render_gantt(3.0).c_str());
   std::printf("hog:       sojourn %.1f s, attempts of its task: %d (work preserved)\n",

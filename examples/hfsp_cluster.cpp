@@ -34,12 +34,8 @@ int main(int argc, char** argv) {
   swim.stateful_fraction = 0.25;
   swim.state_memory = gib(1.5);
   Rng rng(7);
-  auto ids = std::make_shared<std::vector<std::pair<std::string, JobId>>>();
   for (SwimJob& job : generate_swim_trace(swim, rng)) {
-    const std::string name = job.spec.name;
-    cluster.sim().at(job.arrival, [&cluster, ids, name, spec = std::move(job.spec)]() mutable {
-      ids->emplace_back(name, cluster.submit(std::move(spec)));
-    });
+    cluster.submit_at(job.arrival, std::move(job.spec));
   }
   cluster.run();
 
@@ -47,9 +43,9 @@ int main(int argc, char** argv) {
               jobs, cfg.num_nodes);
   Table table({"job", "tasks", "stateful", "arrived (s)", "sojourn (s)"});
   const JobTracker& jt = cluster.job_tracker();
-  for (const auto& [name, id] : *ids) {
+  for (JobId id : jt.jobs_in_order()) {
     const Job& job = jt.job(id);
-    table.row({name, std::to_string(job.tasks.size()),
+    table.row({job.spec.name, std::to_string(job.tasks.size()),
                job.spec.tasks.front().state_memory > 0 ? "yes" : "no",
                Table::num(job.submitted_at), Table::num(job.sojourn())});
   }

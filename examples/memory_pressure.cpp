@@ -20,7 +20,7 @@ int main() {
   TaskSpec tl = hungry_map_task(2 * GiB);
   TaskSpec th = hungry_map_task(2 * GiB);
   tl.preferred_node = th.preferred_node = cluster.node(0);
-  ds.submit_at(0.1, single_task_job("tl", 0, tl));
+  cluster.submit_at(0.1, single_task_job("tl", 0, tl));
   ds.at_progress("tl", 0, 0.5, [&] {
     cluster.submit(single_task_job("th", 10, th));
     ds.preempt("tl", 0, PreemptPrimitive::Suspend);

@@ -32,7 +32,7 @@ int main() {
   cluster.create_input("input_low", 512 * MiB, cluster.node(0));
   cluster.create_input("input_high", 512 * MiB, cluster.node(0));
 
-  ds.submit_at(0.1, single_task_job("low", /*priority=*/0, low_task));
+  cluster.submit_at(0.1, single_task_job("low", /*priority=*/0, low_task));
 
   // 4. When the low job reaches 50%, a high-priority job arrives; suspend
   //    the low task (SIGTSTP to its child JVM) to free the slot at once.

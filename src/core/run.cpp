@@ -1,6 +1,7 @@
 #include "core/run.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "common/det.hpp"
@@ -26,30 +27,106 @@ namespace osap::core {
 
 namespace {
 
-/// Descriptor keys every workload shares. `faults` is an inline fault
-/// plan (';'-separated lines, docs/FAULTS.md); `fault_worker` is the
-/// osapd worker-pool fault-injection hook (docs/OSAPD.md) — the library
-/// runner ignores it, but it must stay digest-visible.
-constexpr const char* kCommonKeys[] = {"workload", "faults", "fault_worker"};
+constexpr unsigned kTwoJob = 1u << 0;  // bit i stands for kWorkloads[i]
+constexpr unsigned kTrace = 1u << 1;
+constexpr unsigned kEvery = kTwoJob | kTrace;
 
-constexpr const char* kTwoJobKeys[] = {"primitive", "r", "seed", "tl_state", "th_state",
-                                       "jitter"};
-constexpr const char* kTraceKeys[] = {"scheduler", "primitive", "jobs",  "nodes",
-                                      "seed",      "policy",    "gang_slice",
-                                      "swap_watermark", "queues", "state",
-                                      "stateful",  "deadline_factor",
-                                      // Node-revocation axes (docs/REVOKE.md).
-                                      "node_mix",  "lifetime_model", "lifetime_mean_s",
-                                      "warning_s", "revoke_react"};
+/// Every descriptor axis, sorted by name so normalize_descriptor can
+/// merge it with a descriptor's sorted keys. `faults` is an inline fault plan (';'-separated
+/// lines, docs/FAULTS.md); `fault_worker` is the osapd worker-pool
+/// fault-injection hook (docs/OSAPD.md) — the library runner ignores it,
+/// but it must stay digest-visible. lifetime_*, node_mix, revoke_react
+/// and warning_s are the node-revocation axes (docs/REVOKE.md).
+constexpr Axis kAxes[] = {
+    // name             default        workloads
+    {"deadline_factor", "0",           kTrace},
+    {"fault_worker",    nullptr,       kEvery},
+    {"faults",          nullptr,       kEvery},
+    {"gang_slice",      "0",           kTrace},
+    {"jitter",          "0.02",        kTwoJob},
+    {"jobs",            "12",          kTrace},
+    {"lifetime_mean_s", "400",         kTrace},
+    {"lifetime_model",  "none",        kTrace},
+    {"node_mix",        "0",           kTrace},
+    {"nodes",           "4",           kTrace},
+    {"policy",          "off",         kTrace},
+    {"primitive",       "susp",        kEvery},
+    {"queues",          "default:1",   kTrace},
+    {"r",               "0.5",         kTwoJob},
+    {"revoke_react",    "none",        kTrace},
+    {"scheduler",       "hfsp",        kTrace},
+    {"seed",            "1",           kTwoJob},
+    {"seed",            "7",           kTrace},
+    {"state",           "1GiB",        kTrace},
+    {"stateful",        "0.2",         kTrace},
+    {"swap_watermark",  "0.5",         kTrace},
+    {"th_state",        "0",           kTwoJob},
+    {"tl_state",        "0",           kTwoJob},
+    {"warning_s",       "120",         kTrace},
+    {"workload",        kWorkloads[0], kEvery},
+};
 
-template <std::size_t N>
-bool contains(const char* const (&keys)[N], const std::string& key) {
-  return std::find_if(std::begin(keys), std::end(keys),
-                      [&](const char* k) { return key == k; }) != std::end(keys);
+/// The merge in normalize_descriptor needs the rows sorted by name, and
+/// no workload accepting two rows of one name.
+constexpr bool merge_ready() {
+  for (std::size_t i = 1; i < std::size(kAxes); ++i) {
+    const Axis& a = kAxes[i - 1];
+    const Axis& b = kAxes[i];
+    if (b.name < a.name || (a.name == b.name && (a.workloads & b.workloads) != 0)) return false;
+  }
+  return true;
+}
+static_assert(merge_ready(), "kAxes: sort by name, one row per name and workload");
+
+[[noreturn]] void not_understood(const std::string& key, const std::string& workload) {
+  std::ostringstream msg;
+  msg << "descriptor key '" << key << "' is not understood by workload '" << workload << "'";
+  throw SimError(msg.str());
 }
 
-void set_default(RunDescriptor& d, const char* key, const char* value) {
-  if (d.find(key) == nullptr) d.set(key, value);
+/// The value of an axis the normalized descriptor always carries.
+const std::string& axis(const RunDescriptor& d, const char* key) {
+  const std::string* v = d.find(key);
+  OSAP_CHECK_MSG(v != nullptr, "descriptor lacks axis '" << key << "'");
+  return *v;
+}
+
+[[noreturn]] void bad_axis(const char* key, const std::string& value, const char* what) {
+  std::ostringstream msg;
+  msg << "descriptor key '" << key << "' is not " << what << ": '" << value << "'";
+  throw SimError(msg.str());
+}
+
+double real_axis(const RunDescriptor& d, const char* key) {
+  const std::string& v = axis(d, key);
+  std::size_t used = 0;
+  double out = 0;
+  try {
+    out = std::stod(v, &used);
+  } catch (const std::exception&) {
+    bad_axis(key, v, "numeric");
+  }
+  if (used != v.size()) bad_axis(key, v, "numeric");  // "0.5x" is a typo, not 0.5
+  return out;
+}
+
+/// Integer axes parse exactly: the whole value, in range, no detour
+/// through double (which rounds 20-digit seeds and truncates "12.9").
+template <typename Int>
+Int integer_axis(const RunDescriptor& d, const char* key, Int min, const char* what) {
+  const std::string& v = axis(d, key);
+  Int out{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc{} || end != v.data() + v.size() || out < min) bad_axis(key, v, what);
+  return out;
+}
+
+std::uint64_t seed_axis(const RunDescriptor& d) {
+  return integer_axis<std::uint64_t>(d, "seed", 0, "an unsigned 64-bit integer");
+}
+
+int count_axis(const RunDescriptor& d, const char* key) {
+  return integer_axis<int>(d, key, 1, "a positive integer");
 }
 
 /// The counters subset shipped per cell: the preemption protocol's
@@ -104,12 +181,12 @@ void apply_observability(const RunOptions& opts, ClusterConfig& cfg) {
 
 void run_two_job_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord& rec) {
   TwoJobParams params;
-  params.primitive = parse_primitive(d.get("primitive", "susp"));
-  params.progress_at_launch = d.num("r", 0.5);
-  params.tl_state = parse_size(d.get("tl_state", "0"));
-  params.th_state = parse_size(d.get("th_state", "0"));
-  params.seed = static_cast<std::uint64_t>(d.num("seed", 1));
-  params.jitter = d.num("jitter", 0.02);
+  params.primitive = parse_primitive(axis(d, "primitive"));
+  params.progress_at_launch = real_axis(d, "r");
+  params.tl_state = parse_size(axis(d, "tl_state"));
+  params.th_state = parse_size(axis(d, "th_state"));
+  params.seed = seed_axis(d);
+  params.jitter = real_axis(d, "jitter");
   params.fault_plan = inline_fault_plan(d);
   params.tick = opts.tick;
   apply_observability(opts, params.cluster);
@@ -163,9 +240,9 @@ std::vector<CapacityScheduler::QueueConfig> parse_queue_spec(const std::string& 
 
 void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord& rec) {
   ClusterConfig cfg = paper_cluster();
-  cfg.num_nodes = static_cast<int>(d.num("nodes", 4));
-  cfg.seed = static_cast<std::uint64_t>(d.num("seed", 7));
-  const double swap_watermark = d.num("swap_watermark", 0.5);
+  cfg.num_nodes = count_axis(d, "nodes");
+  cfg.seed = seed_axis(d);
+  const double swap_watermark = real_axis(d, "swap_watermark");
   cfg.hadoop.suspend_swap_watermark = swap_watermark;
   apply_observability(opts, cfg);
   Cluster cluster(cfg);
@@ -177,14 +254,14 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
     return cluster.kernel(node).vmm().swap_pressure();
   };
 
-  PreemptPrimitive primitive = parse_primitive(d.get("primitive", "susp"));
+  PreemptPrimitive primitive = parse_primitive(axis(d, "primitive"));
 
   // Every eviction runs through the scheduler's policy engine. policy=off
   // runs `primitive` without the swap probe; policy=primitive adds the
   // probe's swap-watermark demotion; any primitive spelling replaces
   // `primitive` for every victim, probe included.
   policy::PolicyOptions popts;
-  const std::string policy_spec = d.get("policy", "off");
+  const std::string& policy_spec = axis(d, "policy");
   if (policy_spec != "off") {
     if (policy_spec != "primitive") primitive = parse_primitive(policy_spec);
     popts.swap_watermark = swap_watermark;
@@ -192,9 +269,9 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   }
 
   std::vector<CapacityScheduler::QueueConfig> queues =
-      parse_queue_spec(d.get("queues", "default:1"));
+      parse_queue_spec(axis(d, "queues"));
 
-  const std::string which = d.get("scheduler", "hfsp");
+  const std::string& which = axis(d, "scheduler");
   if (which == "hfsp") {
     HfspScheduler::Options options;
     options.primitive = primitive;
@@ -225,13 +302,12 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   }
 
   SwimConfig swim;
-  swim.jobs = static_cast<int>(d.num("jobs", 12));
-  swim.state_memory = parse_size(d.get("state", "1GiB"));
-  swim.stateful_fraction = d.num("stateful", 0.2);
-  const double deadline_factor = d.num("deadline_factor", 0);
+  swim.jobs = count_axis(d, "jobs");
+  swim.state_memory = parse_size(axis(d, "state"));
+  swim.stateful_fraction = real_axis(d, "stateful");
+  const double deadline_factor = real_axis(d, "deadline_factor");
   Rng rng(cfg.seed);
   std::vector<SwimJob> trace = generate_swim_trace(swim, rng);
-  auto ids = std::make_shared<std::vector<JobId>>();
   std::size_t job_index = 0;
   for (SwimJob& job : trace) {
     // Round-robin queue assignment; with the default single queue this
@@ -242,21 +318,14 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
           job.arrival + deadline_factor * static_cast<double>(job.spec.tasks.size());
     }
     ++job_index;
-    // A pending arrival is open work: without the retain, the run loop
-    // would exit at the first full drain and silently drop every job
-    // scheduled to arrive later — `jobs=N` must mean N jobs ran.
-    cluster.retain_work();
-    cluster.sim().at(job.arrival, [&cluster, ids, spec = std::move(job.spec)]() mutable {
-      ids->push_back(cluster.submit(std::move(spec)));
-      cluster.release_work();
-    });
+    cluster.submit_at(job.arrival, std::move(job.spec));
   }
 
   // Gang scheduling: a slice > 0 arms the rotation timer; the rotator
   // re-arms itself, and Cluster::run terminates on all-jobs-done
   // regardless of the pending timer.
   std::unique_ptr<policy::GangRotator> gang;
-  if (const double gang_slice = d.num("gang_slice", 0); gang_slice > 0) {
+  if (const double gang_slice = real_axis(d, "gang_slice"); gang_slice > 0) {
     policy::GangOptions gopts;
     gopts.slice = gang_slice;
     gopts.swap_watermark = swap_watermark;
@@ -278,15 +347,15 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   // with a model are costed — including the all-on-demand node_mix=0
   // baseline, so the frontier's cost axis is comparable across mixes.
   const revoke::LifetimeModel lifetime_model =
-      revoke::parse_lifetime_model(d.get("lifetime_model", "none"));
+      revoke::parse_lifetime_model(axis(d, "lifetime_model"));
   revoke::RevocationPlan rplan;
   const bool costed = lifetime_model != revoke::LifetimeModel::None;
   if (costed) {
     revoke::LifetimeOptions lopts;
     lopts.model = lifetime_model;
-    lopts.node_mix = d.num("node_mix", 0);
-    lopts.mean_lifetime_s = d.num("lifetime_mean_s", 400);
-    lopts.warning_s = d.num("warning_s", 120);
+    lopts.node_mix = real_axis(d, "node_mix");
+    lopts.mean_lifetime_s = real_axis(d, "lifetime_mean_s");
+    lopts.warning_s = real_axis(d, "warning_s");
     lopts.seed = cfg.seed;
     rplan = revoke::plan_revocations(static_cast<std::size_t>(cfg.num_nodes), lopts);
     rplan.merge_into(fplan);
@@ -306,7 +375,7 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   }
   if (costed && injector != nullptr) {
     manager = std::make_unique<revoke::RevocationManager>(
-        cluster, *injector, rplan, revoke::parse_reaction(d.get("revoke_react", "none")));
+        cluster, *injector, rplan, revoke::parse_reaction(axis(d, "revoke_react")));
   }
 
   cluster.run(opts.tick);
@@ -315,7 +384,7 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   double sojourn_sum = 0;
   double first_submit = -1, last_done = 0;
   int succeeded = 0;
-  for (JobId id : *ids) {
+  for (JobId id : jt.jobs_in_order()) {
     const Job& job = jt.job(id);
     if (job.state != JobState::Succeeded) continue;
     ++succeeded;
@@ -323,7 +392,7 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
     if (first_submit < 0 || job.submitted_at < first_submit) first_submit = job.submitted_at;
     if (job.completed_at > last_done) last_done = job.completed_at;
   }
-  rec.jobs = static_cast<int>(ids->size());
+  rec.jobs = static_cast<int>(jt.jobs_in_order().size());
   rec.sojourn_th = succeeded > 0 ? sojourn_sum / succeeded : 0;
   rec.sojourn_tl = 0;
   rec.makespan = succeeded > 0 ? last_done - first_submit : 0;
@@ -361,16 +430,6 @@ const std::string* RunDescriptor::find(const std::string& key) const {
 std::string RunDescriptor::get(const std::string& key, const std::string& fallback) const {
   const std::string* v = find(key);
   return v == nullptr ? fallback : *v;
-}
-
-double RunDescriptor::num(const std::string& key, double fallback) const {
-  const std::string* v = find(key);
-  if (v == nullptr) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw SimError("descriptor key '" + key + "' is not numeric: '" + *v + "'");
-  }
 }
 
 std::string RunDescriptor::canonical() const {
@@ -419,47 +478,39 @@ RunDescriptor RunDescriptor::parse(const std::string& text) {
   return d;
 }
 
+std::span<const Axis> axes() noexcept { return kAxes; }
+
 RunDescriptor normalize_descriptor(RunDescriptor d) {
-  const std::string workload = d.get("workload", "two_job");
-  d.set("workload", workload);
-  if (workload == "two_job") {
-    set_default(d, "primitive", "susp");
-    set_default(d, "r", "0.5");
-    set_default(d, "seed", "1");
-    set_default(d, "tl_state", "0");
-    set_default(d, "th_state", "0");
-    set_default(d, "jitter", "0.02");
-  } else if (workload == "trace") {
-    set_default(d, "scheduler", "hfsp");
-    set_default(d, "primitive", "susp");
-    set_default(d, "jobs", "12");
-    set_default(d, "nodes", "4");
-    set_default(d, "seed", "7");
-    set_default(d, "policy", "off");
-    set_default(d, "gang_slice", "0");
-    set_default(d, "swap_watermark", "0.5");
-    set_default(d, "queues", "default:1");
-    set_default(d, "state", "1GiB");
-    set_default(d, "stateful", "0.2");
-    set_default(d, "deadline_factor", "0");
-    set_default(d, "node_mix", "0");
-    set_default(d, "lifetime_model", "none");
-    set_default(d, "lifetime_mean_s", "400");
-    set_default(d, "warning_s", "120");
-    set_default(d, "revoke_react", "none");
-  } else {
+  const std::string* given = d.find("workload");
+  const std::string workload = given != nullptr ? *given : kWorkloads[0];
+  const auto named = std::find(std::begin(kWorkloads), std::end(kWorkloads), workload);
+  if (named == std::end(kWorkloads)) {
     throw SimError("unknown workload '" + workload + "' (two_job|trace)");
   }
-  // A mis-keyed axis silently running the default experiment is the bug
-  // class the osap CLI's unknown-flag check exists for; reject it here
-  // too so a sweep fails its cells loudly instead of caching nonsense.
-  for (const auto& [key, value] : d.items()) {
-    (void)value;
-    const bool known = contains(kCommonKeys, key) ||
-                       (workload == "two_job" && contains(kTwoJobKeys, key)) ||
-                       (workload == "trace" && contains(kTraceKeys, key));
-    OSAP_CHECK_MSG(known, "descriptor key '" << key << "' is not understood by workload '"
-                                             << workload << "'");
+  const unsigned bit = 1u << (named - std::begin(kWorkloads));
+  // One merge of the workload's rows with the descriptor's sorted keys
+  // finds the absent axes and the keys no row accepts. A mis-keyed axis
+  // silently running the default experiment is the bug class the osap
+  // CLI's unknown-flag check exists for; reject it here too so a sweep
+  // fails its cells loudly instead of caching nonsense.
+  const Axis* absent[std::size(kAxes)];
+  std::size_t n_absent = 0;
+  auto item = d.items().begin();
+  const auto end = d.items().end();
+  for (const Axis& a : kAxes) {
+    if ((a.workloads & bit) == 0) continue;
+    if (item != end && std::string_view(item->first) < a.name) {
+      not_understood(item->first, workload);
+    }
+    if (item != end && item->first == a.name) {
+      ++item;
+    } else if (a.fallback != nullptr) {
+      absent[n_absent++] = &a;
+    }
+  }
+  if (item != end) not_understood(item->first, workload);
+  for (std::size_t i = 0; i < n_absent; ++i) {
+    d.set(std::string(absent[i]->name), absent[i]->fallback);
   }
   return d;
 }
@@ -469,8 +520,7 @@ ResultRecord run_descriptor(const RunDescriptor& din, const RunOptions& opts) {
   try {
     const RunDescriptor d = normalize_descriptor(din);
     rec.config_digest = d.digest();
-    const std::string workload = d.get("workload", "two_job");
-    if (workload == "two_job") {
+    if (axis(d, "workload") == "two_job") {
       run_two_job_cell(d, opts, rec);
     } else {
       run_trace_cell(d, opts, rec);

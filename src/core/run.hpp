@@ -23,7 +23,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,7 +42,6 @@ class RunDescriptor {
   /// nullptr when the key is absent.
   [[nodiscard]] const std::string* find(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const;
-  [[nodiscard]] double num(const std::string& key, double fallback) const;
 
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& items() const noexcept {
     return kv_;
@@ -104,9 +105,29 @@ struct ResultRecord {
   double wall_ms = 0;
 };
 
+/// The workloads a descriptor can name; the first is the default.
+inline constexpr const char* kWorkloads[] = {"two_job", "trace"};
+
+/// One descriptor axis: its name, the default normalize_descriptor writes
+/// (nullptr: the axis is optional) and the workloads that accept it (bit
+/// i stands for kWorkloads[i]). An axis whose default differs between
+/// workloads has one row per workload.
+struct Axis {
+  std::string_view name;
+  const char* fallback;
+  unsigned workloads;
+};
+
+/// Every axis, sorted by name — the one place an axis and its default
+/// are written. Normalization, the mis-keyed-axis check, both runners
+/// and `osapd`'s usage text read it.
+[[nodiscard]] std::span<const Axis> axes() noexcept;
+
 /// Materialize every default the runner consumes for the descriptor's
-/// workload ("two_job" when unspecified), so canonical texts are unique
-/// per configuration. Throws SimError for an unknown workload.
+/// workload (kWorkloads[0] when unspecified), so canonical texts are
+/// unique per configuration. Throws SimError for an unknown workload or
+/// an axis the workload does not accept. Values are not parsed here: a
+/// malformed value fails its run, with the key named in the error.
 [[nodiscard]] RunDescriptor normalize_descriptor(RunDescriptor d);
 
 /// Run one cell. Descriptor errors and simulation failures are reported

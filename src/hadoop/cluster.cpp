@@ -53,6 +53,14 @@ void Cluster::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
   jt_.set_scheduler(scheduler_.get());
 }
 
+void Cluster::submit_at(SimTime t, JobSpec spec) {
+  ++pending_arrivals_;
+  sim_.at(t, [this, spec = std::move(spec)]() mutable {
+    jt_.submit_job(std::move(spec));
+    --pending_arrivals_;
+  });
+}
+
 std::vector<BlockId> Cluster::create_input(const std::string& name, Bytes size, NodeId writer) {
   const FileId file = namenode_.create_file(name, size, writer);
   return namenode_.file(file).blocks;
@@ -84,12 +92,11 @@ void Cluster::run() { run(std::function<void()>()); }
 
 void Cluster::run(const std::function<void()>& tick) {
   // Heartbeat timers re-arm forever, so "queue empty" never happens; stop
-  // once every submitted job has completed (trigger-submitted jobs arrive
-  // while their predecessors still run, so this is safe for experiments)
-  // AND no out-of-band work — a driver's async continuation between two
-  // of its jobs, say — is still in flight.
+  // once every submitted job has completed AND no submit_at arrival is
+  // still pending. (A trigger submits its job while an earlier one still
+  // runs, so run() cannot stop before it.)
   std::uint64_t fired = 0;
-  while (!(!jt_.jobs_in_order().empty() && jt_.all_jobs_done() && open_work_ == 0) &&
+  while (!(!jt_.jobs_in_order().empty() && jt_.all_jobs_done() && pending_arrivals_ == 0) &&
          sim_.step()) {
     // The tick stride is in fired events, not time, so it is identical
     // across runs; the hook itself never touches simulation state.

@@ -7,7 +7,8 @@
 //   ClusterConfig cfg;            // paper defaults: 4 GB RAM, 512 MB blocks
 //   Cluster cluster(cfg);
 //   cluster.set_scheduler(std::make_unique<FifoScheduler>());
-//   JobId j = cluster.submit(job_spec);
+//   JobId j = cluster.submit(job_spec);    // now
+//   cluster.submit_at(30.0, later_spec);   // a future arrival
 //   cluster.run();
 //   Duration sojourn = cluster.job_tracker().job(j).sojourn();
 #pragma once
@@ -63,6 +64,11 @@ class Cluster {
   [[nodiscard]] Scheduler* scheduler() noexcept { return scheduler_.get(); }
 
   JobId submit(JobSpec spec) { return jt_.submit_job(std::move(spec)); }
+  /// Submit `spec` when the clock reaches `t`. The pending arrival is
+  /// open work: run() does not return before it fires, even if every job
+  /// submitted so far has already finished. Ids follow arrival order, so
+  /// job_tracker().jobs_in_order() lists the jobs as they arrived.
+  void submit_at(SimTime t, JobSpec spec);
 
   /// Create an input file and return its single-block id list — the
   /// experiments use "a single-block file stored on HDFS, with size 512 MB".
@@ -86,14 +92,6 @@ class Cluster {
   /// Digest of the event stream executed so far (see Simulation).
   [[nodiscard]] std::uint64_t trace_digest() const noexcept { return sim_.trace_digest(); }
 
-  /// Keep run() alive past job completion while out-of-band work (e.g. a
-  /// driver's async page-in) is still outstanding. Balanced pairs.
-  void retain_work() { ++open_work_; }
-  void release_work() {
-    OSAP_CHECK(open_work_ > 0);
-    --open_work_;
-  }
-
  private:
   ClusterConfig cfg_;
   Simulation sim_;
@@ -104,7 +102,8 @@ class Cluster {
   NodeId master_;
   JobTracker jt_;
   std::unique_ptr<Scheduler> scheduler_;
-  int open_work_ = 0;
+  /// submit_at arrivals not yet fired; run() does not return before they are.
+  int pending_arrivals_ = 0;
 };
 
 }  // namespace osap

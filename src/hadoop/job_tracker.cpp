@@ -807,6 +807,10 @@ std::uint64_t JobTracker::speculate_job(Job& job, const TrackerStatus& status, i
     if (t.speculating()) continue;
     if (t.tracker == status.tracker) continue;  // never race on the same tracker
     if (kill_pending_on(tid, status.tracker)) continue;  // old attempt still dying here
+    // The primary is being killed (e.g. resume locality gave up on a
+    // parked attempt): its ack requeues the task, which must not have a
+    // copy bound by then.
+    if (kill_pending_on(tid, t.tracker)) continue;
     int& slots = t.spec.type == TaskType::Map ? free_maps : free_reduces;
     if (slots <= 0) continue;
     --slots;

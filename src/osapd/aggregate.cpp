@@ -7,8 +7,10 @@
 #include <ostream>
 #include <set>
 
+#include "common/error.hpp"
 #include "osapd/expand.hpp"
 #include "osapd/record.hpp"
+#include "workload/dummy_config.hpp"
 
 namespace osap::osapd {
 
@@ -41,13 +43,28 @@ double sorted_mean(std::vector<double> values) {
   return sum / static_cast<double>(values.size());
 }
 
+/// Bytes a size spelling such as "320MiB" names, or -1 for any other text.
+double size_of(const std::string& v) {
+  try {
+    return static_cast<double>(parse_size(v));
+  } catch (const SimError&) {
+    return -1;
+  }
+}
+
+/// Numbers sort numerically and sizes by bytes ("320MiB" < "1GiB"),
+/// anything else lexicographically.
 void sort_axis_values(std::vector<std::string>& values) {
+  std::sort(values.begin(), values.end());
   if (all_numeric(values)) {
-    std::sort(values.begin(), values.end(), [](const std::string& a, const std::string& b) {
+    std::stable_sort(values.begin(), values.end(), [](const std::string& a, const std::string& b) {
       return std::strtod(a.c_str(), nullptr) < std::strtod(b.c_str(), nullptr);
     });
-  } else {
-    std::sort(values.begin(), values.end());
+  } else if (std::all_of(values.begin(), values.end(),
+                         [](const std::string& v) { return size_of(v) >= 0; })) {
+    std::stable_sort(values.begin(), values.end(), [](const std::string& a, const std::string& b) {
+      return size_of(a) < size_of(b);
+    });
   }
 }
 
@@ -105,33 +122,40 @@ PivotTable pivot(const std::vector<core::RunDescriptor>& descriptors,
   }
   if (axis_values.empty()) return table;
 
-  // The scheduler × primitive sojourn matrix when both axes are really
-  // swept (the policy.matrix shape), then the paper's fig2 layout when
-  // available; otherwise the first two multi-valued non-seed axes in
-  // sorted key order.
-  const auto multi = [&](const char* key) {
+  // Primitives across the columns whenever they are swept, or when r is
+  // (the paper's fig2 layout); the rows are then the scheduler, r, or
+  // else the first other swept axis — the swept state size of fig4 and
+  // natjam. Without primitive columns, the first two swept axes in
+  // sorted key order. "Swept" means multi-valued and not the seed:
+  // normalization writes every default into every cell, so a fixed
+  // axis carries no information.
+  const auto swept = [&](const std::string& key) {
     const auto at = axis_values.find(key);
-    return at != axis_values.end() && at->second.size() >= 2;
+    return key != "seed" && at != axis_values.end() && at->second.size() >= 2;
   };
-  const bool sched_shape = multi("scheduler") && multi("primitive");
-  const bool fig2_shape = axis_values.contains("r") && axis_values.contains("primitive");
-  if (sched_shape) {
-    table.row_axis = "scheduler";
+  if (swept("primitive") || (swept("r") && axis_values.contains("primitive"))) {
     table.col_axis = "primitive";
-  } else if (fig2_shape) {
-    table.row_axis = "r";
-    table.col_axis = "primitive";
-  } else {
-    for (const auto& [key, vals] : axis_values) {
-      if (key == "seed" || vals.size() < 2) continue;
-      if (table.row_axis.empty()) {
-        table.row_axis = key;
-      } else if (table.col_axis.empty()) {
-        table.col_axis = key;
+    for (const char* preferred : {"scheduler", "r"}) {
+      if (swept(preferred)) {
+        table.row_axis = preferred;
         break;
       }
     }
-    if (table.row_axis.empty()) table.row_axis = axis_values.begin()->first;
+  }
+  for (const auto& [key, vals] : axis_values) {
+    if (!swept(key) || key == table.col_axis) continue;
+    if (table.row_axis.empty()) {
+      table.row_axis = key;
+    } else if (table.col_axis.empty()) {
+      table.col_axis = key;
+    } else {
+      break;
+    }
+  }
+  if (table.row_axis.empty()) {
+    // One swept axis (or none): it takes the rows, beside one column.
+    table.row_axis = table.col_axis.empty() ? axis_values.begin()->first : table.col_axis;
+    table.col_axis.clear();
   }
 
   table.rows.assign(axis_values[table.row_axis].begin(), axis_values[table.row_axis].end());
@@ -143,24 +167,29 @@ PivotTable pivot(const std::vector<core::RunDescriptor>& descriptors,
     table.cols = {"all"};
   }
 
-  table.values.assign(table.rows.size(), std::vector<double>(table.cols.size(), -1));
-  table.p50.assign(table.rows.size(), std::vector<double>(table.cols.size(), -1));
-  table.p99.assign(table.rows.size(), std::vector<double>(table.cols.size(), -1));
+  for (auto* m : {&table.values, &table.p50, &table.p99, &table.makespan,
+                  &table.tl_swapped_out_mib}) {
+    m->assign(table.rows.size(), std::vector<double>(table.cols.size(), -1));
+  }
   for (std::size_t r = 0; r < table.rows.size(); ++r) {
     for (std::size_t c = 0; c < table.cols.size(); ++c) {
-      std::vector<double> samples;
+      std::vector<double> samples, makespans, swapped;
       for (const CellResult& cell : cells) {
         if (!cell.ok) continue;
         const core::RunDescriptor& d = descriptors[cell.index];
         if (d.get(table.row_axis, "") != table.rows[r]) continue;
         if (!table.col_axis.empty() && d.get(table.col_axis, "") != table.cols[c]) continue;
         samples.push_back(cell.record.sojourn_th);
+        makespans.push_back(cell.record.makespan);
+        swapped.push_back(cell.record.tl_swapped_out_mib);
       }
       if (samples.empty()) continue;
       std::sort(samples.begin(), samples.end());
       table.values[r][c] = sorted_mean(samples);
       table.p50[r][c] = percentile(samples, 0.50);
       table.p99[r][c] = percentile(samples, 0.99);
+      table.makespan[r][c] = sorted_mean(std::move(makespans));
+      table.tl_swapped_out_mib[r][c] = sorted_mean(std::move(swapped));
     }
   }
   return table;
@@ -287,6 +316,10 @@ void write_summary_json(std::ostream& out,
   write_matrix(table.p50);
   out << "],\"p99\":[";
   write_matrix(table.p99);
+  out << "],\"makespan\":[";
+  write_matrix(table.makespan);
+  out << "],\"tl_swapped_out_mib\":[";
+  write_matrix(table.tl_swapped_out_mib);
   out << "]}";
 
   // Cost vs. mean-sojourn frontier (docs/REVOKE.md) — empty for

@@ -4,11 +4,12 @@
 // A "group" is every cell sharing a cell_key (canonical descriptor
 // minus the seed axis); its seeds are replicates and the summary
 // reports mean/p50/p99/min/max of the TH sojourn and the makespan per
-// group. The pivot table rearranges groups along two axes — the
-// scheduler × primitive sojourn matrix when both axes are swept
-// (configs/policy.matrix), else the paper's figure 2 layout (r down the
-// rows, primitive across the columns) — with the mean, p50, and p99 TH
-// sojourn in each cell.
+// group. The pivot table rearranges groups along two swept axes —
+// primitives across the columns when swept, against the scheduler
+// (configs/policy.matrix), r (the paper's figure 2) or the swept state
+// size (figure 4, the Natjam comparison) down the rows — with the mean,
+// p50 and p99 TH sojourn, the mean makespan and the mean MiB paged out
+// of tl in each cell.
 //
 // All traversal is over sorted keys (std::map, sorted vectors), so the
 // summary JSON is byte-deterministic for a given result set no matter
@@ -48,16 +49,19 @@ struct FrontierPoint {
 };
 
 struct PivotTable {
-  std::string row_axis;  // "" when the matrix has no second dimension
-  std::string col_axis;
+  std::string row_axis;
+  std::string col_axis;  // "" when only one axis is swept: cols = {"all"}
   std::vector<std::string> rows;
   std::vector<std::string> cols;
   /// values[r][c] = mean TH sojourn of the matching group; NaN-free:
   /// cells with no successful run hold -1. p50/p99 are the nearest-rank
-  /// percentiles over the same sample set, same -1 convention.
+  /// percentiles over the same sample set, same -1 convention, and so
+  /// are the means of the makespan and of tl's paged-out MiB.
   std::vector<std::vector<double>> values;
   std::vector<std::vector<double>> p50;
   std::vector<std::vector<double>> p99;
+  std::vector<std::vector<double>> makespan;
+  std::vector<std::vector<double>> tl_swapped_out_mib;
 };
 
 /// Group terminal cell results by cell_key and compute per-group stats.
@@ -66,11 +70,12 @@ struct PivotTable {
     const std::vector<core::RunDescriptor>& descriptors,
     const std::vector<CellResult>& cells);
 
-/// Choose pivot axes (prefers "scheduler" rows x "primitive" cols when
-/// both are multi-valued, then "r" x "primitive", else the first two
-/// multi-valued non-seed axes) and fill the table with mean/p50/p99 TH
-/// sojourns. Values sort numerically when every value parses as a
-/// number, lexicographically otherwise.
+/// Choose pivot axes and fill the table. A swept "primitive" (or one
+/// beside a swept "r") takes the columns, and the rows go to "scheduler",
+/// then "r", then the first other swept axis; otherwise the first two
+/// swept axes in sorted key order. The seed never pivots. Values sort
+/// numerically when every value parses as a number, by bytes when every
+/// value is a size ("320MiB"), lexicographically otherwise.
 [[nodiscard]] PivotTable pivot(const std::vector<core::RunDescriptor>& descriptors,
                                const std::vector<CellResult>& cells);
 

@@ -7,13 +7,6 @@ namespace osap {
 
 void DummyScheduler::attached() { preemptor_.emplace(*jt_); }
 
-void DummyScheduler::submit_at(SimTime t, JobSpec spec) {
-  Cluster* cluster = cluster_;
-  cluster->sim().at(t, [cluster, spec = std::move(spec)]() mutable {
-    cluster->submit(std::move(spec));
-  });
-}
-
 void DummyScheduler::at_progress(const std::string& job_name, int task_index, double fraction,
                                  std::function<void()> action) {
   ProgressTrigger trigger{job_name, task_index, fraction, std::move(action), false};

@@ -6,8 +6,7 @@
 // specify, using a series of simple triggers, which jobs/tasks are run in
 // the cluster and which are preempted."
 //
-// Triggers:
-//   submit_at(t, spec)                    submit a job at an absolute time
+// Triggers (a job arriving at an absolute time is Cluster::submit_at):
 //   at_progress(job, idx, r, action)      fire when the task hits r%
 //   on_complete(job, action)              fire when the job completes
 //
@@ -34,7 +33,6 @@ class DummyScheduler : public FifoScheduler {
       : FifoScheduler(locality_delay), cluster_(&cluster) {}
 
   // --- trigger configuration ---------------------------------------------
-  void submit_at(SimTime t, JobSpec spec);
   void at_progress(const std::string& job_name, int task_index, double fraction,
                    std::function<void()> action);
   void on_complete(const std::string& job_name, std::function<void()> action);

@@ -109,7 +109,7 @@ void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& clu
       // submit <name> at <t>
       if (t.size() != 4 || t[2] != "at") fail(lineno, "expected: submit <name> at <t>");
       const JobSpec spec = lookup(t[1], lineno);
-      scheduler.submit_at(parse_double(t[3], lineno), spec);
+      cluster.submit_at(parse_double(t[3], lineno), spec);
 
     } else if (t[0] == "at-progress") {
       // at-progress <job> <idx> <r>% (submit <name> | preempt <job2> <idx2> <prim>)

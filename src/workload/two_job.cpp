@@ -32,7 +32,7 @@ TwoJobResult run_two_job(const TwoJobParams& params) {
   th_spec = jitter_task(th_spec, rng, params.jitter);
 
   // tl enters an otherwise idle system.
-  ds.submit_at(0.05, single_task_job("tl", /*priority=*/0, tl_spec));
+  cluster.submit_at(0.05, single_task_job("tl", /*priority=*/0, tl_spec));
 
   // At r% of tl: submit th and apply the primitive under study.
   const PreemptPrimitive primitive = params.primitive;
@@ -81,7 +81,7 @@ Duration solo_task_duration(TaskSpec spec, ClusterConfig cluster_cfg, std::uint6
   cluster.set_scheduler(std::move(scheduler));
   spec.preferred_node = cluster.node(0);
   cluster.create_input("input", spec.input_bytes, cluster.node(0));
-  ds.submit_at(0.05, single_task_job("solo", 0, spec));
+  cluster.submit_at(0.05, single_task_job("solo", 0, spec));
   cluster.run();
   return cluster.job_tracker().job(ds.job_of("solo")).sojourn();
 }

@@ -193,7 +193,7 @@ TEST(JobTrackerAudit, TrackerBindingCorruptionFires) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler* ds = sched.get();
   cluster.set_scheduler(std::move(sched));
-  ds->submit_at(0.05, single_task_job("tl", 0, light_map_task()));
+  cluster.submit_at(0.05, single_task_job("tl", 0, light_map_task()));
   cluster.sim().run_until(10.0);
   cluster.job_tracker().testing_corrupt_task_binding(ds->task_of("tl", 0));
   expect_audit_failure([&] { cluster.sim().audit_now(); },
@@ -237,7 +237,7 @@ TEST(ProtocolAudit, LegalRoundTripStaysSilent) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler* ds = sched.get();
   cluster.set_scheduler(std::move(sched));
-  ds->submit_at(0.05, single_task_job("tl", 0, light_map_task()));
+  cluster.submit_at(0.05, single_task_job("tl", 0, light_map_task()));
   ds->at_progress("tl", 0, 0.2, [ds] { ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   cluster.sim().run_until(40.0);
   ds->restore("tl", 0, PreemptPrimitive::Suspend);

@@ -112,6 +112,41 @@ TEST(RunFacade, FailuresAreRecordedNotThrown) {
   EXPECT_NE(miskeyed.error.find("not understood"), std::string::npos) << miskeyed.error;
 }
 
+TEST(RunFacade, TwentyDigitSeedRunsExactly) {
+  // 15021278609987233951 is not a double; read through one it runs
+  // seed 15021278609987233792.
+  const ResultRecord rec =
+      run_descriptor(RunDescriptor::parse("primitive=kill;seed=15021278609987233951"));
+  ASSERT_TRUE(rec.ok) << rec.error;
+
+  TwoJobParams params;
+  params.primitive = PreemptPrimitive::Kill;
+  params.seed = 15021278609987233951ull;
+  const TwoJobResult direct = run_two_job(params);
+  EXPECT_EQ(rec.sojourn_th, direct.sojourn_th);
+  EXPECT_EQ(rec.sojourn_tl, direct.sojourn_tl);
+  EXPECT_EQ(rec.makespan, direct.makespan);
+}
+
+TEST(RunFacade, NumericAxesRejectWhatTheyCannotReadExactly) {
+  struct Bad {
+    const char* cell;
+    const char* key;
+  };
+  for (const Bad& bad : {Bad{"workload=trace;jobs=12.5", "jobs"},
+                         Bad{"workload=trace;jobs=0", "jobs"},
+                         Bad{"workload=trace;nodes=4x", "nodes"},
+                         Bad{"seed=-1", "seed"},
+                         Bad{"seed=1e30", "seed"},
+                         Bad{"workload=trace;seed=99999999999999999999", "seed"},
+                         Bad{"r=0.5x", "r"}}) {
+    const ResultRecord rec = run_descriptor(RunDescriptor::parse(bad.cell));
+    EXPECT_FALSE(rec.ok) << bad.cell;
+    const std::string named = std::string("key '") + bad.key + "'";
+    EXPECT_NE(rec.error.find(named), std::string::npos) << bad.cell << ": " << rec.error;
+  }
+}
+
 TEST(RunFacade, TraceWorkloadReplaysBitIdentically) {
   const RunDescriptor d = RunDescriptor::parse("workload=trace;jobs=8;seed=7");
   const ResultRecord a = run_descriptor(d);

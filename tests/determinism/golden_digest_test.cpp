@@ -60,6 +60,19 @@ TEST(GoldenDigest, HfspSpeculationContention) {
   EXPECT_GT(stats.speculative_launches, 0);
 }
 
+// At these seeds resume locality gives up on a parked attempt and queues
+// its kill while the task still looks like a straggler. A backup copy
+// launched then would still be bound when the kill's ack requeues the
+// task, which task_terminal rejects; the straggler scan must skip a task
+// whose primary is being killed. Both runs must finish every job.
+TEST(GoldenDigest, HfspSpeculationSkipsATaskWhosePrimaryIsBeingKilled) {
+  for (const std::uint64_t seed : {6u, 9u}) {
+    HfspSpeculationStats stats;
+    EXPECT_NO_THROW((void)run_hfsp_speculation(seed, false, &stats)) << "seed " << seed;
+    EXPECT_GT(stats.speculative_launches, 0) << "seed " << seed;
+  }
+}
+
 // Captured before the preempting schedulers' two eviction paths (direct
 // primitive vs policy engine) were folded into one: pins each of fair,
 // capacity, hfsp and deadline under kill, susp and natjam, with the

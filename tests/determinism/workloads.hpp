@@ -189,7 +189,7 @@ inline std::uint64_t run_speculation_storm(std::uint64_t seed, bool tracing = fa
     spec.preferred_node = cluster.node(i);
     job.tasks.push_back(spec);
   }
-  ds.submit_at(0.05, job);
+  cluster.submit_at(0.05, job);
   ds.at_progress("spec", 0, 0.3,
                  [&ds] { ds.preempt("spec", 0, PreemptPrimitive::Suspend); });
   ds.at_progress("spec", 1, 0.5,

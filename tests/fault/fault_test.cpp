@@ -139,7 +139,7 @@ TEST(FaultRecovery, NodeCrashDuringSuspendReexecutesOnSurvivor) {
 
   TaskSpec victim = light_map_task();
   victim.preferred_node = cluster.node(0);
-  ds.submit_at(0.05, single_task_job("victim", 0, victim));
+  cluster.submit_at(0.05, single_task_job("victim", 0, victim));
   ds.at_progress("victim", 0, 0.3,
                  [&ds] { ds.preempt("victim", 0, PreemptPrimitive::Suspend); });
 
@@ -183,7 +183,7 @@ TEST(FaultRecovery, HeartbeatDropStormBelowLeaseThresholdIsHarmless) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, single_task_job("steady", 0, light_map_task()));
+  cluster.submit_at(0.05, single_task_job("steady", 0, light_map_task()));
 
   FaultInjector injector(cluster, parse_fault_plan("drop-heartbeats 5 20 0\n"));
   cluster.run();
@@ -229,7 +229,7 @@ TEST(FaultRecovery, LostMapOutputReexecutesAndReleasesReduce) {
   job.tasks.push_back(map_a);
   job.tasks.push_back(map_b);
   job.tasks.push_back(reduce);
-  ds.submit_at(0.05, job);
+  cluster.submit_at(0.05, job);
 
   FaultInjector injector(cluster, parse_fault_plan("crash 45 0\n"));
   cluster.run();
@@ -310,7 +310,7 @@ TEST(FaultRecovery, HangPastLeaseReinitializesOnRejoin) {
   cluster.set_scheduler(std::move(sched));
   TaskSpec spec = light_map_task();
   spec.preferred_node = cluster.node(0);
-  ds.submit_at(0.05, single_task_job("wedged", 0, spec));
+  cluster.submit_at(0.05, single_task_job("wedged", 0, spec));
 
   FaultInjector injector(cluster, parse_fault_plan("hang 10 0 15\n"));
   cluster.run();
@@ -342,7 +342,7 @@ TEST(FaultRecovery, KillOfRelaunchedCheckpointTaskKeepsDurableCheckpoint) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, single_task_job("ckpt", 0, hungry_map_task(512 * MiB)));
+  cluster.submit_at(0.05, single_task_job("ckpt", 0, hungry_map_task(512 * MiB)));
   ds.at_progress("ckpt", 0, 0.5,
                  [&ds] { ds.preempt("ckpt", 0, PreemptPrimitive::NatjamCheckpoint); });
   JobTracker& jt = cluster.job_tracker();
@@ -383,7 +383,7 @@ TEST(FaultRecovery, KillBeforeCheckpointCompletesDoesNotLeakUseCheckpoint) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, single_task_job("leaky", 0, hungry_map_task(512 * MiB)));
+  cluster.submit_at(0.05, single_task_job("leaky", 0, hungry_map_task(512 * MiB)));
   JobTracker& jt = cluster.job_tracker();
   ds.at_progress("leaky", 0, 0.4, [&] {
     const TaskId id = ds.task_of("leaky", 0);
@@ -424,7 +424,7 @@ TEST(FaultRecovery, CheckpointDiskLossRequeuesParkedTask) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, single_task_job("parked", 0, hungry_map_task(512 * MiB)));
+  cluster.submit_at(0.05, single_task_job("parked", 0, hungry_map_task(512 * MiB)));
   ds.at_progress("parked", 0, 0.5,
                  [&ds] { ds.preempt("parked", 0, PreemptPrimitive::NatjamCheckpoint); });
 
@@ -450,7 +450,7 @@ TEST(FaultInjectorTest, MessageDelayWindowDelaysWithoutDropping) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, single_task_job("slow", 0, light_map_task()));
+  cluster.submit_at(0.05, single_task_job("slow", 0, light_map_task()));
 
   FaultInjector injector(cluster, parse_fault_plan("delay-messages 0 40 0 0.2\n"));
   cluster.run();
@@ -470,7 +470,7 @@ TEST(FaultInjectorTest, CrashSilencesAllTrafficBothWays) {
   cluster.set_scheduler(std::move(sched));
   TaskSpec spec = light_map_task();
   spec.preferred_node = cluster.node(1);
-  ds.submit_at(0.05, single_task_job("survivor", 0, spec));
+  cluster.submit_at(0.05, single_task_job("survivor", 0, spec));
 
   FaultInjector injector(cluster, parse_fault_plan("crash 5 0\n"));
   cluster.run();

@@ -27,7 +27,7 @@ TEST(ClusterIntegration, SingleJobCompletes) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("solo", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("solo", 0, spec));
   rig.cluster.run();
   const Job& job = rig.cluster.job_tracker().job(rig.ds->job_of("solo"));
   EXPECT_EQ(job.state, JobState::Succeeded);
@@ -40,8 +40,8 @@ TEST(ClusterIntegration, TwoJobsShareOneSlotSequentially) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("a", 0, spec));
-  rig.ds->submit_at(0.10, single_task_job("b", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("a", 0, spec));
+  rig.cluster.submit_at(0.10, single_task_job("b", 0, spec));
   rig.cluster.run();
   const Job& a = rig.cluster.job_tracker().job(rig.ds->job_of("a"));
   const Job& b = rig.cluster.job_tracker().job(rig.ds->job_of("b"));
@@ -53,11 +53,30 @@ TEST(ClusterIntegration, TwoJobsShareOneSlotSequentially) {
   EXPECT_GE(b_started, a.completed_at - 0.1);
 }
 
+TEST(ClusterIntegration, ArrivalAfterEveryEarlierJobFinishedStillRuns) {
+  // "a" is done by ~80 s; "late" arrives at 200 s into an idle cluster.
+  // A pending arrival is open work, so run() must not stop at the drain.
+  Rig rig;
+  TaskSpec spec = light_map_task();
+  spec.preferred_node = rig.cluster.node(0);
+  rig.cluster.submit_at(0.05, single_task_job("a", 0, spec));
+  rig.cluster.submit_at(200.0, single_task_job("late", 0, spec));
+  rig.cluster.run();
+  const JobTracker& jt = rig.cluster.job_tracker();
+  ASSERT_EQ(jt.jobs_in_order().size(), 2u);
+  const Job& a = jt.job(jt.jobs_in_order()[0]);
+  const Job& late = jt.job(jt.jobs_in_order()[1]);
+  EXPECT_EQ(late.spec.name, "late");
+  EXPECT_LT(a.completed_at, 200.0);
+  EXPECT_EQ(late.state, JobState::Succeeded);
+  EXPECT_DOUBLE_EQ(late.submitted_at, 200.0);
+}
+
 TEST(ClusterIntegration, SuspendFollowsPaperStateMachine) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   SimTime requested = -1;
   rig.ds->at_progress("tl", 0, 0.3, [&] {
     requested = rig.cluster.sim().now();
@@ -82,7 +101,7 @@ TEST(ClusterIntegration, SuspendResumeCompletesWithFrozenProgress) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.5,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   rig.cluster.sim().at(60.0, [&] {
@@ -105,7 +124,7 @@ TEST(ClusterIntegration, KillLosesWorkAndReschedules) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.5, [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Kill); });
   rig.cluster.run();
   const Job& job = rig.cluster.job_tracker().job(rig.ds->job_of("tl"));
@@ -121,7 +140,7 @@ TEST(ClusterIntegration, CheckpointSuspendSerializesAndFastForwards) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.5, [&] {
     rig.ds->preempt("tl", 0, PreemptPrimitive::NatjamCheckpoint);
   });
@@ -143,7 +162,7 @@ TEST(ClusterIntegration, SuspendedTaskCanStillBeKilled) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.3,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   rig.cluster.sim().at(50.0, [&] {
@@ -162,7 +181,7 @@ TEST(ClusterIntegration, ResumeRefusedWhileKillIsPending) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.3,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   rig.cluster.run_until(50.0);
@@ -182,7 +201,7 @@ TEST(ClusterIntegration, SuspendRejectedWhenNotRunning) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.cluster.run_until(1.0);  // before the first launch heartbeat
   EXPECT_FALSE(rig.cluster.job_tracker().suspend_task(rig.ds->task_of("tl", 0)));
   EXPECT_FALSE(rig.cluster.job_tracker().resume_task(rig.ds->task_of("tl", 0)));
@@ -192,7 +211,7 @@ TEST(ClusterIntegration, ProgressReportsReachJobTracker) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.cluster.run_until(45.0);
   const Task& task = rig.cluster.job_tracker().task(rig.ds->task_of("tl", 0));
   EXPECT_GT(task.progress, 0.3);
@@ -207,7 +226,7 @@ TEST(ClusterIntegration, MultiNodeSpreadsTasks) {
   JobSpec job;
   job.name = "wide";
   for (int i = 0; i < 4; ++i) job.tasks.push_back(light_map_task());
-  rig.ds->submit_at(0.05, job);
+  rig.cluster.submit_at(0.05, job);
   rig.cluster.run();
   const Job& done = rig.cluster.job_tracker().job(rig.ds->job_of("wide"));
   EXPECT_EQ(done.state, JobState::Succeeded);
@@ -221,7 +240,7 @@ TEST(ClusterIntegration, LocalityPinsTaskToPreferredNode) {
   Rig rig(cfg);
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(1);
-  rig.ds->submit_at(0.05, single_task_job("pinned", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("pinned", 0, spec));
   rig.cluster.run();
   const Task& task =
       rig.cluster.job_tracker().task(rig.ds->task_of("pinned", 0));
@@ -239,7 +258,7 @@ TEST(ClusterIntegration, WorstCaseSuspensionSwapsAndRecovers) {
   TaskSpec tl = hungry_map_task(2 * GiB);
   TaskSpec th = hungry_map_task(2 * GiB);
   tl.preferred_node = th.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, tl));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, tl));
   rig.ds->at_progress("tl", 0, 0.5, [&] {
     rig.cluster.submit(single_task_job("th", 10, th));
     rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend);
@@ -259,7 +278,7 @@ TEST(ClusterIntegration, EventsAppearInProtocolOrder) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.4,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   rig.cluster.sim().at(60.0, [&] { rig.ds->restore("tl", 0, PreemptPrimitive::Suspend); });

@@ -38,7 +38,7 @@ TEST(Reduce, MapAndReduceJobCompletes) {
   job.name = "mr";
   job.tasks.push_back(light_map_task(256 * MiB));
   job.tasks.push_back(reduce_task(128 * MiB));
-  rig.ds->submit_at(0.05, job);
+  rig.cluster.submit_at(0.05, job);
   rig.cluster.run();
   const Job& done = rig.cluster.job_tracker().job(rig.ds->job_of("mr"));
   EXPECT_EQ(done.state, JobState::Succeeded);
@@ -53,7 +53,7 @@ TEST(Reduce, ReduceUsesReduceSlotsNotMapSlots) {
   job.name = "mixed";
   job.tasks.push_back(light_map_task());
   job.tasks.push_back(reduce_task(64 * MiB));
-  rig.ds->submit_at(0.05, job);
+  rig.cluster.submit_at(0.05, job);
   rig.cluster.run_until(20.0);
   TaskTracker& tt = rig.cluster.tracker(rig.cluster.node(0));
   EXPECT_EQ(tt.free_map_slots(), 0);
@@ -67,7 +67,7 @@ TEST(Reduce, ReducerCanBeSuspendedAndResumed) {
   JobSpec job;
   job.name = "red";
   job.tasks.push_back(reduce_task(512 * MiB));
-  rig.ds->submit_at(0.05, job);
+  rig.cluster.submit_at(0.05, job);
   rig.ds->at_progress("red", 0, 0.4,
                       [&] { rig.ds->preempt("red", 0, PreemptPrimitive::Suspend); });
   rig.cluster.sim().at(80.0, [&] { rig.ds->restore("red", 0, PreemptPrimitive::Suspend); });
@@ -85,7 +85,7 @@ TEST(Reduce, StatefulReducerSwapsUnderPressure) {
   JobSpec red;
   red.name = "red";
   red.tasks.push_back(reduce_task(512 * MiB, /*state=*/2 * GiB));
-  rig.ds->submit_at(0.05, red);
+  rig.cluster.submit_at(0.05, red);
   rig.ds->at_progress("red", 0, 0.5, [&] {
     TaskSpec hungry = hungry_map_task(2 * GiB);
     rig.cluster.submit(single_task_job("high", 10, hungry));

@@ -30,7 +30,7 @@ TEST(Streaming, HelperProcessRunsAlongsideTheTask) {
   Rig rig;
   TaskSpec spec = streaming_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("stream", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("stream", 0, spec));
   rig.cluster.run_until(20.0);
   // Task JVM + external executable = two processes on the node.
   EXPECT_EQ(rig.cluster.kernel(rig.cluster.node(0)).process_count(), 2u);
@@ -45,7 +45,7 @@ TEST(Streaming, SuspensionPausesTheHelperToo) {
   Rig rig;
   TaskSpec spec = streaming_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("stream", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("stream", 0, spec));
   rig.ds->at_progress("stream", 0, 0.4,
                       [&] { rig.ds->preempt("stream", 0, PreemptPrimitive::Suspend); });
   rig.cluster.run_until(60.0);
@@ -67,7 +67,7 @@ TEST(Streaming, KillTearsDownTheHelper) {
   Rig rig;
   TaskSpec spec = streaming_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("stream", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("stream", 0, spec));
   rig.ds->at_progress("stream", 0, 0.4,
                       [&] { rig.ds->preempt("stream", 0, PreemptPrimitive::Kill); });
   rig.cluster.run();

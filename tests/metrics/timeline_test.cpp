@@ -16,7 +16,7 @@ TEST(Timeline, RecordsJobLifecycle) {
   cluster.set_scheduler(std::move(sched));
   TaskSpec spec = light_map_task();
   spec.preferred_node = cluster.node(0);
-  ds->submit_at(0.05, single_task_job("j", 0, spec));
+  cluster.submit_at(0.05, single_task_job("j", 0, spec));
   cluster.run();
   EXPECT_TRUE(recorder.first(ClusterEventType::JobSubmitted, ds->job_of("j")).has_value());
   EXPECT_TRUE(recorder.first(ClusterEventType::JobCompleted, ds->job_of("j")).has_value());
@@ -31,7 +31,7 @@ TEST(Timeline, GanttShowsSuspensionGap) {
   cluster.set_scheduler(std::move(sched));
   TaskSpec spec = light_map_task();
   spec.preferred_node = cluster.node(0);
-  ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   ds->at_progress("tl", 0, 0.5, [&] { ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   cluster.sim().at(60.0, [&] { ds->restore("tl", 0, PreemptPrimitive::Suspend); });
   cluster.run();

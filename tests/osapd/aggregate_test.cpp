@@ -98,6 +98,36 @@ TEST(Aggregate, PivotRowsSortNumericallyNotLexically) {
   EXPECT_EQ(table.rows, (std::vector<std::string>{"0.55", "9", "10"}));
 }
 
+TEST(Aggregate, PivotPutsTheSweptStateSizeAgainstThePrimitives) {
+  // Figure 4's shape: th's state swept at a fixed r. Normalization
+  // writes r=0.5 into every cell, so r is present but not swept and
+  // must not take the rows. Sizes sort by bytes, not as text.
+  std::vector<core::RunDescriptor> descriptors;
+  std::vector<CellResult> cells;
+  for (const char* th : {"2560MiB", "0", "320MiB"}) {
+    for (const char* prim : {"susp", "kill", "wait"}) {
+      const std::size_t i = descriptors.size();
+      descriptors.push_back(cell(std::string("primitive=") + prim + ";r=0.5;tl_state=2560MiB" +
+                                 ";th_state=" + th));
+      CellResult res = ok_cell(i, 100 + static_cast<double>(i), 200 + static_cast<double>(i));
+      res.record.tl_swapped_out_mib = static_cast<double>(i);
+      cells.push_back(res);
+    }
+  }
+  const PivotTable table = pivot(descriptors, cells);
+  EXPECT_EQ(table.row_axis, "th_state");
+  EXPECT_EQ(table.col_axis, "primitive");
+  EXPECT_EQ(table.rows, (std::vector<std::string>{"0", "320MiB", "2560MiB"}));
+  EXPECT_EQ(table.cols, (std::vector<std::string>{"kill", "susp", "wait"}));
+  // (th_state=320MiB, susp) is cell 6: the makespan and paged-out MiB
+  // matrices sit beside the sojourn one, same layout.
+  ASSERT_EQ(table.makespan.size(), 3u);
+  ASSERT_EQ(table.tl_swapped_out_mib.size(), 3u);
+  EXPECT_DOUBLE_EQ(table.values[1][1], 106);
+  EXPECT_DOUBLE_EQ(table.makespan[1][1], 206);
+  EXPECT_DOUBLE_EQ(table.tl_swapped_out_mib[1][1], 6);
+}
+
 TEST(Aggregate, PivotFallsBackToTheFirstTwoMultiValuedAxes) {
   // The trace workload has a primitive axis but no r, so the fig2 shape
   // is unavailable; sorted multi-valued non-seed axes take over.

@@ -1,8 +1,8 @@
 // The `.matrix` spec and its expansion: parse errors carry line
 // numbers, `--set` replaces axes wholesale, and the cross product walks
 // sorted keys with the last key spinning fastest — so the cell at index
-// i is a pure function of the spec, which is what lets `osap sweep`,
-// `osapd run`, and fig2_baseline share one grid.
+// i is a pure function of the spec, which is what lets `osapd expand`,
+// `osapd run` and the benchmark's paper grid share one cell order.
 #include "osapd/matrix.hpp"
 
 #include <gtest/gtest.h>

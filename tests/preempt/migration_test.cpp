@@ -28,7 +28,7 @@ TEST(Migration, MovesSuspendedTaskToIdleNodeWithoutLosingWork) {
   // tl runs on node 0 (unpinned tasks land there first), gets suspended at
   // 50%, and node 0 stays busy with pinned high-priority fillers.
   TaskSpec tl = light_map_task();
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, tl));
+  rig.cluster->submit_at(0.05, single_task_job("tl", 0, tl));
   rig.ds->at_progress("tl", 0, 0.5, [&] {
     for (int i = 0; i < 2; ++i) {
       TaskSpec high = light_map_task();
@@ -65,7 +65,7 @@ TEST(Migration, MovesSuspendedTaskToIdleNodeWithoutLosingWork) {
 TEST(Migration, RejectsRunningOrUnknownTasks) {
   Rig rig;
   TaskSpec tl = light_map_task();
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, tl));
+  rig.cluster->submit_at(0.05, single_task_job("tl", 0, tl));
   auto migrator = std::make_shared<TaskMigrator>(*rig.cluster);
   rig.cluster->sim().at(20.0, [&, migrator] {
     // Running, not suspended: refuse.
@@ -78,7 +78,7 @@ TEST(Migration, RejectsRunningOrUnknownTasks) {
 TEST(Migration, SameNodeMigrationIsRefused) {
   Rig rig;
   TaskSpec tl = light_map_task();
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, tl));
+  rig.cluster->submit_at(0.05, single_task_job("tl", 0, tl));
   rig.ds->at_progress("tl", 0, 0.4,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   auto migrator = std::make_shared<TaskMigrator>(*rig.cluster);
@@ -93,7 +93,7 @@ TEST(Migration, SameNodeMigrationIsRefused) {
 TEST(Migration, StatefulTaskShipsItsMemoryImage) {
   Rig rig;
   TaskSpec tl = hungry_map_task(1 * GiB);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, tl));
+  rig.cluster->submit_at(0.05, single_task_job("tl", 0, tl));
   rig.ds->at_progress("tl", 0, 0.5, [&] {
     for (int i = 0; i < 2; ++i) {
       TaskSpec high = light_map_task();

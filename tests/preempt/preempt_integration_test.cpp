@@ -23,7 +23,7 @@ TEST(Preemptor, WaitIsNoOp) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.3, [&] {
     Preemptor preemptor(rig.cluster.job_tracker());
     EXPECT_TRUE(preemptor.preempt(rig.ds->task_of("tl", 0), PreemptPrimitive::Wait));
@@ -38,7 +38,7 @@ TEST(Preemptor, SuspendThenRestore) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.3, [&] {
     Preemptor preemptor(rig.cluster.job_tracker());
     EXPECT_TRUE(preemptor.preempt(rig.ds->task_of("tl", 0), PreemptPrimitive::Suspend));
@@ -55,7 +55,7 @@ TEST(Preemptor, RestoreBeforeAckIsRejected) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.3, [&] {
     Preemptor preemptor(rig.cluster.job_tracker());
     EXPECT_TRUE(preemptor.preempt(rig.ds->task_of("tl", 0), PreemptPrimitive::Suspend));
@@ -74,7 +74,7 @@ TEST(ResumeLocality, HomeNodeResumeWhenSlotFrees) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.3,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   auto policy = std::make_shared<ResumeLocalityPolicy>(rig.cluster.job_tracker(), seconds(60));
@@ -95,7 +95,7 @@ TEST(ResumeLocality, ForeignNodeWaitsUntilThresholdThenKills) {
   Rig rig;
   TaskSpec spec = light_map_task();
   spec.preferred_node = rig.cluster.node(0);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
   rig.ds->at_progress("tl", 0, 0.3,
                       [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
   auto policy = std::make_shared<ResumeLocalityPolicy>(rig.cluster.job_tracker(), seconds(10));

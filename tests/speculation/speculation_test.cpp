@@ -83,7 +83,7 @@ TEST(Speculation, OffByDefaultEvenWithObviousStraggler) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, two_map_job(cluster, "race"));
+  cluster.submit_at(0.05, two_map_job(cluster, "race"));
   ds.at_progress("race", 0, 0.3,
                  [&ds] { ds.preempt("race", 0, PreemptPrimitive::Suspend); });
   cluster.run_until(250.0);
@@ -102,7 +102,7 @@ TEST(Speculation, SingleTaskJobNeverSpeculates) {
   cluster.set_scheduler(std::move(sched));
   TaskSpec solo = light_map_task();
   solo.preferred_node = cluster.node(0);
-  ds.submit_at(0.05, single_task_job("solo", 0, solo));
+  cluster.submit_at(0.05, single_task_job("solo", 0, solo));
   ds.at_progress("solo", 0, 0.3, [&ds] { ds.preempt("solo", 0, PreemptPrimitive::Suspend); });
   cluster.run_until(300.0);
 
@@ -122,7 +122,7 @@ TEST(Speculation, SuspendedOriginalLosesRaceToCopy) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, two_map_job(cluster, "race"));
+  cluster.submit_at(0.05, two_map_job(cluster, "race"));
   ds.at_progress("race", 0, 0.3,
                  [&ds] { ds.preempt("race", 0, PreemptPrimitive::Suspend); });
   cluster.run();
@@ -152,7 +152,7 @@ TEST(Speculation, CheckpointParkedOriginalLosesRaceToCopy) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, two_map_job(cluster, "race"));
+  cluster.submit_at(0.05, two_map_job(cluster, "race"));
   ds.at_progress("race", 0, 0.3,
                  [&ds] { ds.preempt("race", 0, PreemptPrimitive::NatjamCheckpoint); });
   cluster.run();
@@ -186,7 +186,7 @@ TEST(Speculation, OriginalWinsRaceAndCopyIsKilled) {
   small.preferred_node = cluster.node(1);
   job.tasks.push_back(big);
   job.tasks.push_back(small);
-  ds.submit_at(0.05, job);
+  cluster.submit_at(0.05, job);
   cluster.run();
   drain(cluster);
 
@@ -223,7 +223,7 @@ TEST(Speculation, CopyTrackerLostMidRaceDissolvesTheRace) {
   small.preferred_node = cluster.node(1);
   job.tasks.push_back(big);
   job.tasks.push_back(small);
-  ds.submit_at(0.05, job);
+  cluster.submit_at(0.05, job);
   // The copy lands on node 2 once the big task trips the detector (~16 s);
   // the node then dies under it mid-race.
   FaultInjector injector(cluster, parse_fault_plan("crash 60 2\n"));
@@ -261,7 +261,7 @@ TEST(Speculation, OriginalTrackerLostMidRacePromotesTheCopy) {
   small.preferred_node = cluster.node(1);
   job.tasks.push_back(big);
   job.tasks.push_back(small);
-  ds.submit_at(0.05, job);
+  cluster.submit_at(0.05, job);
   // This time the *original's* node dies: instead of requeueing from
   // scratch (PR 4's rule for a lost attempt), the racing copy is adopted.
   FaultInjector injector(cluster, parse_fault_plan("crash 60 0\n"));
@@ -312,7 +312,7 @@ TEST(Speculation, LostMapOutputReexecutionStartsClean) {
   job.tasks.push_back(map_a);
   job.tasks.push_back(map_b);
   job.tasks.push_back(reduce);
-  ds.submit_at(0.05, job);
+  cluster.submit_at(0.05, job);
   FaultInjector injector(cluster, parse_fault_plan("crash 45 0\n"));
   cluster.run();
   drain(cluster);
@@ -358,7 +358,7 @@ TEST(Speculation, CapBoundsConcurrentCopiesPerJob) {
       small.preferred_node = cluster.node(2 + i);
       job.tasks.push_back(small);
     }
-    ds.submit_at(0.05, job);
+    cluster.submit_at(0.05, job);
     cluster.run();
     drain(cluster);
     EXPECT_EQ(cluster.job_tracker().job(ds.job_of("pair")).state, JobState::Succeeded);
@@ -377,7 +377,7 @@ TEST(Speculation, KillSpeculativeReapsOnlyTheCopy) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, two_map_job(cluster, "race"));
+  cluster.submit_at(0.05, two_map_job(cluster, "race"));
   ds.at_progress("race", 0, 0.3,
                  [&ds] { ds.preempt("race", 0, PreemptPrimitive::Suspend); });
   // The copy launches around t=45; preempt it at 60, then resume the
@@ -421,7 +421,7 @@ TEST(Speculation, NearTieRaceResolvesDeterministically) {
     auto sched = std::make_unique<DummyScheduler>(cluster);
     DummyScheduler& ds = *sched;
     cluster.set_scheduler(std::move(sched));
-    ds.submit_at(0.05, two_map_job(cluster, "race"));
+    cluster.submit_at(0.05, two_map_job(cluster, "race"));
     ds.at_progress("race", 0, 0.3,
                    [&ds] { ds.preempt("race", 0, PreemptPrimitive::Suspend); });
     // Copy launches ~45 s and would finish ~123 s; resuming the original
@@ -457,14 +457,14 @@ TEST(Speculation, CountersAndScanLandInObservabilityJson) {
   auto sched = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
-  ds.submit_at(0.05, two_map_job(cluster, "race"));
+  cluster.submit_at(0.05, two_map_job(cluster, "race"));
   ds.at_progress("race", 0, 0.3,
                  [&ds] { ds.preempt("race", 0, PreemptPrimitive::Suspend); });
   // A long keeper job (own job => never speculated) holds the cluster
   // open past the race so the loser's kill ack reaches the counters.
   TaskSpec keeper = big_map_task();
   keeper.preferred_node = cluster.node(3);
-  ds.submit_at(0.06, single_task_job("keeper", 0, keeper));
+  cluster.submit_at(0.06, single_task_job("keeper", 0, keeper));
   cluster.run();
 
   const auto slurp = [](const std::string& path) {

@@ -180,7 +180,7 @@ std::string run_two_job_preemption_trace() {
   ClusterConfig cfg = paper_cluster();
   cfg.trace.enabled = true;
   Rig rig(cfg);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, light_map_task(64 * MiB)));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, light_map_task(64 * MiB)));
   rig.ds->at_progress("tl", 0, 0.5, [&rig] {
     rig.cluster.submit(single_task_job("th", 10, light_map_task(32 * MiB)));
     rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend);
@@ -219,7 +219,7 @@ TEST(TraceIntegration, TraceContainsSuspendProtocolSpans) {
   ClusterConfig cfg = paper_cluster();
   cfg.trace.enabled = true;
   Rig rig(cfg);
-  rig.ds->submit_at(0.05, single_task_job("tl", 0, light_map_task(64 * MiB)));
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, light_map_task(64 * MiB)));
   rig.ds->at_progress("tl", 0, 0.5, [&rig] {
     rig.cluster.submit(single_task_job("th", 10, light_map_task(32 * MiB)));
     rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend);
@@ -254,7 +254,7 @@ TEST(TraceIntegration, PagingCountersObeyConservation) {
   JobSpec red;
   red.name = "red";
   red.tasks.push_back(reduce_task(512 * MiB, /*state=*/2 * GiB));
-  rig.ds->submit_at(0.05, red);
+  rig.cluster.submit_at(0.05, red);
   rig.ds->at_progress("red", 0, 0.5, [&rig] {
     rig.cluster.submit(single_task_job("high", 10, hungry_map_task(2 * GiB)));
     rig.ds->preempt("red", 0, PreemptPrimitive::Suspend);
@@ -275,7 +275,7 @@ TEST(TraceIntegration, PagingCountersObeyConservation) {
 TEST(TraceIntegration, HeartbeatCountersBalance) {
   ClusterConfig cfg = paper_cluster();
   Rig rig(cfg);
-  rig.ds->submit_at(0.05, single_task_job("m", 0, light_map_task(64 * MiB)));
+  rig.cluster.submit_at(0.05, single_task_job("m", 0, light_map_task(64 * MiB)));
   rig.cluster.run();
   const trace::CounterRegistry& counters = rig.cluster.sim().trace().counters();
   const std::uint64_t sent = counters.value("node0.tasktracker.heartbeats_sent");
@@ -294,7 +294,7 @@ TEST(TraceIntegration, ObservabilityJsonCarriesAllSections) {
   ClusterConfig cfg = paper_cluster();
   cfg.trace.enabled = true;
   Rig rig(cfg);
-  rig.ds->submit_at(0.05, single_task_job("m", 0, light_map_task(32 * MiB)));
+  rig.cluster.submit_at(0.05, single_task_job("m", 0, light_map_task(32 * MiB)));
   rig.cluster.run();
   std::ostringstream os;
   rig.cluster.sim().write_observability_json(os);
@@ -325,7 +325,7 @@ TEST(TraceIntegration, DirtyFlaggingSkipsCleanAuditSweeps) {
   red.preferred_node = rig.cluster.node(1);
   job.tasks.push_back(map);
   job.tasks.push_back(red);
-  rig.ds->submit_at(0.05, job);
+  rig.cluster.submit_at(0.05, job);
   rig.cluster.run();
   const AuditRegistry& audits = rig.cluster.sim().audits();
   EXPECT_GT(audits.sweeps(), 0u);
@@ -363,7 +363,7 @@ double maps_done_latency(bool oob) {
   red.preferred_node = rig.cluster.node(1);
   job.tasks.push_back(map);
   job.tasks.push_back(red);
-  rig.ds->submit_at(0.05, job);
+  rig.cluster.submit_at(0.05, job);
   rig.cluster.run();
   EXPECT_TRUE(rig.cluster.job_tracker().all_jobs_done());
   const TaskId reduce_id = rig.ds->task_of("mr", 1);

@@ -194,8 +194,8 @@ def main():
             print("  ./build/tools/osapd run configs/revoke.matrix --out /tmp/revoke.json --quiet")
             print("  ./tools/frontier_to_bench.py /tmp/revoke.json --out $(pwd)/BENCH_revoke.json")
         else:
-            print("  ./build/bench/fig2_baseline --runs=2 --counters=$(pwd)/BENCH_fig2.json \\")
-            print("      --trace=$(pwd)/BENCH_fig2_trace.json")
+            print("  ./build/tools/osapd instrument \"primitive=susp;r=0.5;seed=1\" \\")
+            print("      --counters $(pwd)/BENCH_fig2.json --trace $(pwd)/BENCH_fig2_trace.json")
         return 1
     gated = len(flatten(baseline)) + sum(k in baseline for k in WALL_KEYS)
     print(f"bench gate clean: {gated} metrics within {args.tolerance:.0%} "

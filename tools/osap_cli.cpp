@@ -1,17 +1,8 @@
 // osap — command-line front end for the simulator.
 //
-//   osap two-job  [--primitive P] [--r 0.5]
-//                 [--tl-state 0MiB] [--th-state 0MiB] [--runs 20] [--seed 42]
-//       The paper's two-job experiment; prints the §IV metrics.
-//
-//   osap sweep    [--tl-state ...] [--th-state ...] [--seed 42]
-//                 [--matrix file.matrix] [--set key=v1,v2]... [--digests]
-//       Full r x primitive sweep (Figures 2/3 in one table). A thin
-//       client of the osapd matrix expansion (docs/OSAPD.md): the
-//       default matrix is the paper's fig2 grid, `--matrix` loads a
-//       checked-in spec instead, and `--digests` prints one
-//       "<config-digest> <trace-digest> <descriptor>" line per cell —
-//       the bit-for-bit comparison anchor for `osapd run`.
+// The paper's two-job grid (Figs. 2-4, the Natjam comparison) runs
+// through `osapd run configs/<fig>.matrix`, one cell through `osapd
+// instrument` (docs/OSAPD.md); this CLI renders single runs.
 //
 //   osap gantt    [--primitive susp] [--r 0.5] [--tl-state ...] [--th-state ...]
 //       One run, rendered as a Figure-1-style schedule.
@@ -22,7 +13,9 @@
 //
 //   osap trace    [--scheduler fifo|fair|hfsp|capacity|deadline]
 //                 [--primitive susp] [--jobs 12] [--nodes 4] [--seed 7]
-//       A SWIM-like trace under the chosen scheduler.
+//       A SWIM-like trace under the chosen scheduler. At the defaults
+//       this is the trace cell `osapd instrument "workload=trace"` runs,
+//       with the same event-trace digest.
 //
 // A primitive P is any spelling in kPrimitiveSpellings
 // (src/preempt/primitive.hpp); usage() prints the list.
@@ -43,7 +36,6 @@
 // Flags take either `--key value` or `--key=value` form. Unknown flags
 // are an error, never silently ignored — a typoed flag quietly running
 // the default experiment has burned enough sweep hours already.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -53,10 +45,7 @@
 
 #include "common/error.hpp"
 
-#include "core/run.hpp"
 #include "fault/injector.hpp"
-#include "osapd/expand.hpp"
-#include "osapd/matrix.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "metrics/timeline.hpp"
@@ -164,97 +153,6 @@ TwoJobParams params_from(const Args& args) {
   return params;
 }
 
-int cmd_two_job(const Args& args) {
-  const int runs = static_cast<int>(args.num("runs", 20));
-  RunningStat sojourn, makespan, swap;
-  Rng seeder(static_cast<std::uint64_t>(args.num("seed", 42)));
-  for (int i = 0; i < runs; ++i) {
-    TwoJobParams params = params_from(args);
-    params.seed = seeder.next_u64();
-    const TwoJobResult res = run_two_job(params);
-    sojourn.add(res.sojourn_th);
-    makespan.add(res.makespan);
-    swap.add(to_mib(res.tl_swapped_out));
-  }
-  std::printf("primitive=%s r=%.2f runs=%d\n", args.get("primitive", "susp").c_str(),
-              args.num("r", 0.5), runs);
-  std::printf("sojourn(th): %.1f s  (min %.1f, max %.1f)\n", sojourn.mean(), sojourn.min(),
-              sojourn.max());
-  std::printf("makespan:    %.1f s  (min %.1f, max %.1f)\n", makespan.mean(), makespan.min(),
-              makespan.max());
-  std::printf("tl paged:    %.0f MiB\n", swap.mean());
-  return 0;
-}
-
-/// The paper's fig2 grid as a matrix spec — the same default the
-/// checked-in configs/fig2.matrix spells out (modulo the seed axis).
-osapd::MatrixSpec default_sweep_matrix(const Args& args) {
-  osapd::MatrixSpec spec;
-  spec.axes["workload"] = {"two_job"};
-  spec.axes["primitive"] = {"wait", "kill", "susp"};
-  spec.axes["r"] = {"0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9"};
-  spec.axes["seed"] = {args.get("seed", "42")};
-  spec.axes["tl_state"] = {args.get("tl-state", "0")};
-  spec.axes["th_state"] = {args.get("th-state", "0")};
-  return spec;
-}
-
-int cmd_sweep(const Args& args) {
-  // Thin client of the osapd matrix expansion: identical cell order and
-  // identical config digests to `osapd expand`/`osapd run`, computed
-  // in-process.
-  osapd::MatrixSpec spec;
-  if (args.flags.contains("matrix")) {
-    const std::string path = args.get("matrix", "");
-    std::ifstream in(path);
-    OSAP_CHECK_MSG(in, "cannot open matrix file " << path);
-    spec = osapd::parse_matrix(in, path);
-  } else {
-    spec = default_sweep_matrix(args);
-  }
-  if (args.flags.contains("set")) osapd::apply_set(spec, args.get("set", ""));
-  const std::vector<core::RunDescriptor> cells = osapd::expand(spec);
-
-  if (args.flags.contains("digests")) {
-    for (const core::RunDescriptor& d : cells) {
-      const core::ResultRecord rec = core::run_descriptor(d);
-      std::printf("%s %016llx %s%s\n", d.digest_hex().c_str(),
-                  static_cast<unsigned long long>(rec.trace_digest), d.canonical().c_str(),
-                  rec.ok ? "" : " FAILED");
-    }
-    return 0;
-  }
-
-  // Group results into the paper's table: r down the rows, one sojourn
-  // and one makespan column per primitive.
-  std::map<double, std::map<std::string, std::pair<double, double>>> grid;
-  std::vector<std::string> prims;
-  for (const core::RunDescriptor& d : cells) {
-    const core::ResultRecord rec = core::run_descriptor(d);
-    OSAP_CHECK_MSG(rec.ok, "sweep cell failed (" << d.canonical() << "): " << rec.error);
-    const std::string prim = d.get("primitive", "susp");
-    grid[d.num("r", 0.5)][prim] = {rec.sojourn_th, rec.makespan};
-    if (std::find(prims.begin(), prims.end(), prim) == prims.end()) prims.push_back(prim);
-  }
-  std::vector<std::string> headers{"r (%)"};
-  for (const std::string& p : prims) headers.push_back(p + " sojourn");
-  for (const std::string& p : prims) headers.push_back(p + " makespan");
-  Table table(headers);
-  for (const auto& [r, by_prim] : grid) {
-    std::vector<std::string> row{std::to_string(static_cast<int>(r * 100 + 0.5))};
-    std::vector<std::string> tail;
-    for (const std::string& p : prims) {
-      const auto it = by_prim.find(p);
-      row.push_back(it != by_prim.end() ? Table::num(it->second.first) : "-");
-      tail.push_back(it != by_prim.end() ? Table::num(it->second.second) : "-");
-    }
-    row.insert(row.end(), tail.begin(), tail.end());
-    table.row(row);
-  }
-  table.print();
-  return 0;
-}
-
 int cmd_gantt(const Args& args) {
   TwoJobParams params = params_from(args);
   ClusterConfig cfg = params.cluster;
@@ -268,7 +166,7 @@ int cmd_gantt(const Args& args) {
   cluster.set_scheduler(std::move(sched));
   TaskSpec tl = params.tl_state > 0 ? hungry_map_task(params.tl_state) : light_map_task();
   TaskSpec th = params.th_state > 0 ? hungry_map_task(params.th_state) : light_map_task();
-  ds.submit_at(0.05, single_task_job("tl", 0, tl));
+  cluster.submit_at(0.05, single_task_job("tl", 0, tl));
   const PreemptPrimitive primitive = params.primitive;
   ds.at_progress("tl", 0, params.progress_at_launch, [&cluster, &ds, th, primitive] {
     cluster.submit(single_task_job("th", 10, th));
@@ -370,22 +268,16 @@ int cmd_trace(const Args& args) {
     Rng rng(cfg.seed);
     trace = generate_swim_trace(swim, rng);
   }
-  auto ids = std::make_shared<std::vector<std::pair<std::string, JobId>>>();
-  for (SwimJob& job : trace) {
-    const std::string name = job.spec.name;
-    cluster.sim().at(job.arrival, [&cluster, ids, name, spec = std::move(job.spec)]() mutable {
-      ids->emplace_back(name, cluster.submit(std::move(spec)));
-    });
-  }
+  for (SwimJob& job : trace) cluster.submit_at(job.arrival, std::move(job.spec));
   const auto faults = maybe_inject_faults(args, cluster);
   cluster.run();
   const JobTracker& jt = cluster.job_tracker();
   Table table({"job", "tasks", "sojourn (s)"});
   RunningStat sojourn;
-  for (const auto& [name, id] : *ids) {
+  for (JobId id : jt.jobs_in_order()) {
     const Job& job = jt.job(id);
     sojourn.add(job.sojourn());
-    table.row({name, std::to_string(job.tasks.size()), Table::num(job.sojourn())});
+    table.row({job.spec.name, std::to_string(job.tasks.size()), Table::num(job.sojourn())});
   }
   table.print();
   std::printf("\nscheduler=%s primitive=%s mean sojourn %.1f s\n", which.c_str(),
@@ -396,12 +288,9 @@ int cmd_trace(const Args& args) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: osap <two-job|sweep|gantt|config|trace> [flags]\n"
+               "usage: osap <gantt|config|trace> [flags]\n"
+               "(the paper's two-job grid: osapd run configs/<fig>.matrix)\n"
                "\n"
-               "  two-job  --primitive P  --r 0.5\n"
-               "           --tl-state 0MiB  --th-state 0MiB  --runs 20  --seed 42\n"
-               "  sweep    --tl-state SZ  --th-state SZ  --seed 42\n"
-               "           --matrix file.matrix  --set key=v1,v2  --digests\n"
                "  gantt    --primitive P  --r 0.5  --tl-state SZ  --th-state SZ\n"
                "           --seed 42  --cell 3.0  + common flags\n"
                "  config   <file>  --nodes 1  --seed 1  + common flags\n"
@@ -441,14 +330,6 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const Args args = Args::parse(argc, argv, 2);
   try {
-    if (cmd == "two-job") {
-      args.check_allowed("two-job", {"primitive", "r", "tl-state", "th-state", "runs", "seed"});
-      return cmd_two_job(args);
-    }
-    if (cmd == "sweep") {
-      args.check_allowed("sweep", {"tl-state", "th-state", "seed", "matrix", "set", "digests"});
-      return cmd_sweep(args);
-    }
     if (cmd == "gantt") {
       args.check_allowed("gantt", with_common({"primitive", "r", "tl-state", "th-state",
                                                "seed", "cell"}));

@@ -27,6 +27,9 @@
 //       result record. This is the path CI uses to gate the fig2
 //       representative point against BENCH_fig2.json.
 //
+// Running `osapd` with no arguments prints every descriptor axis with
+// its default, per workload — read off core::axes() (src/core/run.cpp).
+//
 // Flags take either `--key value` or `--key=value` form; unknown flags
 // are an error, never silently ignored.
 #include <unistd.h>
@@ -196,13 +199,44 @@ int cmd_instrument(const Args& args) {
   return rec.ok ? 0 : 1;
 }
 
+/// The axes each workload accepts, `key=default` or a bare key for an
+/// optional axis, wrapped to the terminal.
+std::string axis_usage() {
+  std::string out = "\ndescriptor axes (key=default; a bare key has none):\n";
+  for (std::size_t w = 0; w < std::size(core::kWorkloads); ++w) {
+    std::string line = "  workload=";
+    line += core::kWorkloads[w];
+    line += w == 0 ? " (default):" : ":";
+    for (const core::Axis& a : core::axes()) {
+      if ((a.workloads & (1u << w)) == 0 || a.name == "workload") continue;
+      std::string item(a.name);
+      if (a.fallback != nullptr) {
+        item += '=';
+        item += a.fallback;
+      }
+      if (line.size() + 1 + item.size() > 78) {
+        out += line;
+        out += '\n';
+        line = "   ";
+      }
+      line += ' ';
+      line += item;
+    }
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: osapd <run|expand|instrument> ...\n"
                "  run <file.matrix> [--set k=v1,v2]... [--workers N] [--cache-dir DIR]\n"
                "                    [--no-cache] [--max-rss-mb N] [--out FILE] [--quiet]\n"
                "  expand <file.matrix> [--set k=v1,v2]...\n"
-               "  instrument <descriptor> [--counters FILE] [--trace FILE]\n");
+               "  instrument <descriptor> [--counters FILE] [--trace FILE]\n"
+               "%s",
+               axis_usage().c_str());
   return 1;
 }
 
