@@ -188,6 +188,9 @@ void JobTracker::set_task_spec(TaskId id, TaskSpec spec) {
 }
 
 void JobTracker::set_task_progress(Task& task, double progress) {
+  // Restating the stored progress moves neither the job's remaining bytes
+  // nor any input of its straggler bound, so the cached bound stands.
+  if (progress == task.progress) return;
   Job& job = job_ref(task.job);
   job.remaining_bytes -= remaining_contrib(task);
   task.progress = progress;
@@ -608,6 +611,9 @@ void JobTracker::promote_speculative(Task& task) {
   task.node = task.spec_node;
   set_task_progress(task, task.spec_progress);
   task.attempt_started_at = task.spec_started_at;
+  // A new start moves the attempt's ETA line even when the progress
+  // write above was a no-op: the straggler bound must be recomputed.
+  set_spec_next_check(job_ref(task.job), 0);
   task.checkpointed = false;
   task.use_checkpoint = false;
   command_sent_.erase(task.id);

@@ -19,6 +19,8 @@ TaskTracker::TaskTracker(Simulation& sim, Kernel& kernel, Network& net, TrackerI
                          HadoopConfig cfg)
     : sim_(sim), kernel_(kernel), net_(net), id_(id), node_(node), cfg_(cfg) {
   sim_.audits().add(this);
+  // Every periodic heartbeat re-arms after exactly this delay.
+  sim_.declare_fixed_delay(cfg_.heartbeat_interval);
   tracer_ = &sim_.trace().tracer();
   trk_ = tracer_->track(kernel_.name(), "tasktracker");
   shuffle_trk_ = tracer_->track("cluster", "shuffle");
@@ -101,10 +103,13 @@ void TaskTracker::send_status(bool out_of_band) {
   if (out_of_band) ctr_oob_heartbeats_->add();
   // Round-trip span: ends when the JobTracker's response arrives. The
   // JobTracker responds to every heartbeat and per-pair delivery is FIFO,
-  // so responses pair with sends in order.
+  // so responses pair with sends in order. The enabled() guards here and
+  // in on_response() skip building the argument list on every heartbeat.
   const std::uint64_t span = ++hb_seq_;
-  tracer_->async_begin(trk_, out_of_band ? "oob_heartbeat" : "heartbeat", span,
-                       {{"reports", static_cast<std::uint64_t>(status.reports.size())}});
+  if (tracer_->enabled()) {
+    tracer_->async_begin(trk_, out_of_band ? "oob_heartbeat" : "heartbeat", span,
+                         {{"reports", static_cast<std::uint64_t>(status.reports.size())}});
+  }
   outstanding_hb_.emplace_back(span, out_of_band);
   net_.send(node_, master_, [jt = jt_, status = std::move(status)]() mutable {
     jt->on_heartbeat(std::move(status));
@@ -118,8 +123,10 @@ void TaskTracker::on_response(HeartbeatResponse response) {
   if (!outstanding_hb_.empty()) {
     const auto [span, oob] = outstanding_hb_.front();
     outstanding_hb_.pop_front();
-    tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", span,
-                       {{"actions", static_cast<std::uint64_t>(response.actions.size())}});
+    if (tracer_->enabled()) {
+      tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", span,
+                         {{"actions", static_cast<std::uint64_t>(response.actions.size())}});
+    }
   }
   for (const TaskAction& action : response.actions) apply(action);
 }

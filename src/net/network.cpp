@@ -6,6 +6,9 @@ namespace osap {
 
 Network::Network(Simulation& sim, NetConfig cfg) : sim_(sim), cfg_(cfg) {
   OSAP_CHECK(cfg_.nic_bandwidth > 0);
+  // Every control message between two nodes (each heartbeat and its
+  // response) travels after exactly this delay.
+  sim_.declare_fixed_delay(cfg_.latency);
 }
 
 void Network::register_node(NodeId node) {

@@ -108,7 +108,9 @@ void Vmm::touch(Region& region) {
 }
 
 void Vmm::commit(RegionId rid, Bytes bytes, std::function<void()> done) {
-  sim_.trace().profiler().add(trace::HotPath::VmmCommit, bytes);
+  // Work is the vm_chunk extents the steps below acquire, one each.
+  sim_.trace().profiler().add(trace::HotPath::VmmCommit,
+                              (bytes + cfg_.vm_chunk - 1) / cfg_.vm_chunk);
   auto it = regions_.find(rid);
   OSAP_CHECK_MSG(it != regions_.end(), "commit to missing " << rid);
   const Pid pid = it->second.pid;

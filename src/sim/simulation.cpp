@@ -22,7 +22,18 @@ EventId Simulation::at(SimTime t, std::function<void()> fn) {
 
 EventId Simulation::after(Duration d, std::function<void()> fn) {
   if (d < 0) d = 0;
+  for (const auto& [delay, lane] : fixed_delays_) {
+    if (delay == d) return queue_.push(lane, now_ + d, std::move(fn));
+  }
   return queue_.push(now_ + d, std::move(fn));
+}
+
+void Simulation::declare_fixed_delay(Duration d) {
+  OSAP_CHECK_MSG(d >= 0 && d < kTimeNever, "fixed delay must be finite and >= 0, got " << d);
+  for (const auto& fixed : fixed_delays_) {
+    if (fixed.first == d) return;
+  }
+  fixed_delays_.emplace_back(d, queue_.add_lane());
 }
 
 bool Simulation::step() {

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "audit/audit.hpp"
 #include "common/det.hpp"
@@ -31,6 +33,13 @@ class Simulation {
 
   /// Schedule after a relative delay (clamped to >= 0).
   EventId after(Duration d, std::function<void()> fn);
+
+  /// Declare `d` a delay the model schedules at over and over (a
+  /// heartbeat interval, a link latency). after(d) then queues on a FIFO
+  /// lane of its own instead of the heap: now() never decreases, so
+  /// neither does now() + d, and the lane pops in O(1). Events fire in
+  /// the same order either way. Declaring a delay twice is a no-op.
+  void declare_fixed_delay(Duration d);
 
   /// Cancel a pending event (no-op if already fired).
   void cancel(EventId id) { queue_.cancel(id); }
@@ -86,6 +95,8 @@ class Simulation {
   [[noreturn]] void min_advance_abort(Duration advanced) const;
 
   EventQueue queue_;
+  /// Declared fixed delays and the lanes after() queues them on.
+  std::vector<std::pair<Duration, EventQueue::Lane>> fixed_delays_;
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
   AuditRegistry audits_;

@@ -17,10 +17,10 @@ namespace osap::trace {
 /// HotPathProfiler::name().
 enum class HotPath : std::uint8_t {
   EventDispatch,      ///< Simulation::step — work = heap levels the pop sifted
-                      ///< down + tombstones it pruned.
+                      ///< down + tombstones it pruned (a lane pop sifts none).
   FluidUpdate,        ///< FluidResource::update — work = active consumers.
   NetDelivery,        ///< Network::send control messages.
-  VmmCommit,          ///< Vmm::commit — work = bytes committed.
+  VmmCommit,          ///< Vmm::commit — work = vm_chunk extents committed.
   VmmReclaim,         ///< Vmm reclaim slow path — work = bytes wanted.
   HeartbeatAssembly,  ///< TaskTracker::send_status — work = reports.
   HeartbeatHandle,    ///< JobTracker::on_heartbeat — work = actions sent.

@@ -11,8 +11,11 @@
 //     is bit-identical with tracing enabled or disabled (enforced by
 //     tests/determinism).
 //  2. *Cheap when off.* Every recording call starts with a single branch on
-//     `enabled_` and returns before touching its arguments' heap state.
-//     Track registration stays live while disabled so subsystems can cache
+//     `enabled_` and returns without recording. The caller has already
+//     built the arguments by then: a TraceArgs list costs a heap
+//     allocation and a rendered string per value, so a call site on a hot
+//     path (one per heartbeat, say) tests enabled() first. Track
+//     registration stays live while disabled so subsystems can cache
 //     TrackIds at construction regardless of configuration.
 //  3. *Cross-compiler stable output.* Timestamps are quantized to integer
 //     microseconds and argument values carry strings / integers only (no

@@ -158,6 +158,22 @@ TEST(RunFacade, TraceWorkloadReplaysBitIdentically) {
   EXPECT_EQ(a.makespan, b.makespan);
 }
 
+// At the trace workload's defaults (12 jobs) every scheduler makes the
+// same decisions, so a cell there tests no scheduler. At 24 jobs on 4
+// nodes fair sharing and size-based scheduling each run their own
+// stream; CI checks `osap trace` against osapd at this cell per scheduler.
+TEST(RunFacade, TraceCellSeparatesTheSchedulers) {
+  const auto digest = [](const char* scheduler) {
+    const ResultRecord rec = run_descriptor(RunDescriptor::parse(
+        std::string("workload=trace;jobs=24;nodes=4;seed=7;scheduler=") + scheduler));
+    EXPECT_TRUE(rec.ok) << scheduler << ": " << rec.error;
+    return rec.trace_digest;
+  };
+  const auto fifo = digest("fifo");
+  EXPECT_NE(digest("fair"), fifo);
+  EXPECT_NE(digest("hfsp"), fifo);
+}
+
 TEST(RunFacade, TickHookIsPassive) {
   const RunDescriptor d = RunDescriptor::parse(kTickableCell);
   const ResultRecord plain = run_descriptor(d);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <queue>
 #include <set>
@@ -142,6 +143,14 @@ class Differential {
     return id;
   }
 
+  EventQueue::Lane add_lane() { return q_.add_lane(); }
+
+  EventId push(EventQueue::Lane lane, SimTime t) {
+    const EventId id = q_.push(lane, t, [] {});
+    ref_.emplace(t, id);
+    return id;
+  }
+
   void cancel(EventId id) {
     q_.cancel(id);
     // The reference has no O(1) cancel; rebuild without the id.
@@ -229,6 +238,151 @@ TEST(EventQueue, RandomizedDifferentialAgainstBinaryHeap) {
     }
     d.drain_and_compare();
   }
+  {
+    // A smaller population the way Simulation queues it: the first
+    // heartbeats and the arrivals sit on the heap, every re-arm goes
+    // through a 3 s lane, and each heartbeat sends a message through a
+    // 0.5 ms lane whose delivery may answer through it again. Some
+    // deliveries cancel a heartbeat and re-arm it (an out-of-band
+    // report) or cancel an arrival; others schedule a heap event. Some
+    // heap events land at exactly a lane's time, pushed between lane
+    // entries that tie with them, so ties across heap and lane must
+    // break by sequence.
+    SCOPED_TRACE("heartbeats and messages through 3 s and 0.5 ms lanes");
+    Differential d;
+    const EventQueue::Lane beat = d.add_lane();
+    const EventQueue::Lane wire = d.add_lane();
+    std::set<EventId> heartbeats;
+    std::set<EventId> messages;
+    std::vector<EventId> arrivals;
+    Rng rng(29);
+    for (int i = 0; i < 250; ++i) {
+      heartbeats.insert(d.push(static_cast<SimTime>(rng.uniform_int(0, 299)) * 0.01));
+    }
+    for (int i = 0; i < 500; ++i) arrivals.push_back(d.push(rng.uniform(0.0, 300.0)));
+    std::size_t lane_pops = 0;
+    std::size_t cancels = 0;
+    while (!d.empty()) {
+      const auto ev = d.pop();
+      if (heartbeats.erase(ev.id) > 0) {
+        if (ev.time < 300.0) {
+          heartbeats.insert(d.push(beat, ev.time + 3.0));
+          messages.insert(d.push(wire, ev.time + 0.0005));
+          if (rng.uniform() < 0.1) arrivals.push_back(d.push(ev.time + 3.0));
+        }
+      } else if (messages.erase(ev.id) > 0) {
+        ++lane_pops;
+        const double dice = rng.uniform();
+        if (dice < 0.5) {
+          messages.insert(d.push(wire, ev.time + 0.0005));
+        } else if (dice < 0.52 && !heartbeats.empty()) {
+          const auto victim = std::next(
+              heartbeats.begin(),
+              static_cast<std::ptrdiff_t>(rng.uniform_int(0, heartbeats.size() - 1)));
+          d.cancel(*victim);
+          heartbeats.erase(victim);
+          heartbeats.insert(d.push(beat, ev.time + 3.0));
+          ++cancels;
+        } else if (dice < 0.54 && !arrivals.empty()) {
+          const std::size_t pick = rng.uniform_int(0, arrivals.size() - 1);
+          d.cancel(arrivals[pick]);
+          arrivals.erase(arrivals.begin() + static_cast<std::ptrdiff_t>(pick));
+          ++cancels;
+        } else if (dice < 0.64) {
+          arrivals.push_back(d.push(ev.time + rng.uniform(0.0, 5.0)));
+        } else if (dice < 0.7) {
+          arrivals.push_back(d.push(ev.time + 0.0005));
+        }
+      } else {
+        std::erase(arrivals, ev.id);
+      }
+      ASSERT_TRUE(d.in_step());
+    }
+    d.drain_and_compare();
+    EXPECT_GT(lane_pops, 25000u);
+    EXPECT_GT(cancels, 500u);
+  }
+}
+
+// A lane is sorted only because its pushes never go back in time; one
+// that would is rejected before it takes a sequence or a slot. Equal
+// times are fine (they fire in push order), and the heap still accepts
+// any time.
+TEST(EventQueue, LanePushEarlierThanItsTailIsRejected) {
+  EventQueue q;
+  const EventQueue::Lane lane = q.add_lane();
+  const EventId first = q.push(lane, 2.0, [] {});
+  EXPECT_THROW(q.push(lane, 1.0, [] {}), SimError);
+  EXPECT_EQ(q.pending(), 1u);
+  const EventId tie = q.push(lane, 2.0, [] {});
+  const EventId heap = q.push(1.0, [] {});
+  EXPECT_THROW(q.push(lane + 1, 3.0, [] {}), SimError);
+  EXPECT_EQ(q.pop().id, heap);
+  EXPECT_EQ(q.pop().id, first);
+  EXPECT_EQ(q.pop().id, tie);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.next_time(), kTimeNever);
+}
+
+// Cancels through lanes free their closures at once, and the tombstone
+// bound counts the heap and the lanes together: after any cancel,
+// tombstones are under the floor or no more than the live events.
+TEST(EventQueue, CancellationStormThroughALaneReleasesClosuresAndCompacts) {
+  EventQueue q;
+  const EventQueue::Lane lane = q.add_lane();
+  auto sentinel = std::make_shared<int>(42);
+  std::vector<EventId> doomed;
+  Rng rng(13);
+  SimTime tail = 0;
+  for (int i = 0; i < 10000; ++i) {
+    tail += rng.uniform(0.0, 0.2);
+    if (i % 3 == 0) {
+      doomed.push_back(q.push(rng.uniform(0.0, 1000.0), [sentinel] { (void)*sentinel; }));
+    } else if (i % 3 == 1) {
+      doomed.push_back(q.push(lane, tail, [sentinel] { (void)*sentinel; }));
+    } else {
+      q.push(lane, tail, [] {});
+    }
+  }
+  const std::size_t survivors = q.pending() - doomed.size();
+  EXPECT_EQ(sentinel.use_count(), static_cast<long>(1 + doomed.size()));
+  for (std::size_t i = 0; i < doomed.size(); ++i) {
+    q.cancel(doomed[i]);
+    EXPECT_EQ(sentinel.use_count(), static_cast<long>(doomed.size() - i));
+    ASSERT_TRUE(q.cancelled_entries() < 64 || q.cancelled_entries() <= q.pending())
+        << q.cancelled_entries() << " tombstones over " << q.pending() << " live events";
+  }
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(q.pending(), survivors);
+  EXPECT_EQ(q.pending_events().size(), survivors);
+  SimTime last = 0;
+  std::size_t fired = 0;
+  while (!q.empty()) {
+    const auto ev = q.pop();
+    EXPECT_GE(ev.time, last);
+    // Compaction that missed a lane would leave tombstones it no longer
+    // counts; pruning them later would drive the count below zero.
+    ASSERT_LE(q.cancelled_entries(), doomed.size());
+    last = ev.time;
+    ++fired;
+  }
+  EXPECT_EQ(fired, survivors);
+  EXPECT_EQ(q.cancelled_entries(), 0u);
+}
+
+// A lane pop sifts nothing, so it reports no queue work; a tombstone
+// pruned off a lane front counts one, as one pruned off the heap does.
+TEST(EventQueue, LanePopsReportOnlyPrunedTombstonesAsWork) {
+  EventQueue q;
+  const EventQueue::Lane lane = q.add_lane();
+  const EventId doomed = q.push(lane, 1.0, [] {});
+  q.push(lane, 2.0, [] {});
+  q.push(lane, 3.0, [] {});
+  q.cancel(doomed);
+  EXPECT_EQ(q.pending_events().size(), 2u);
+  EXPECT_EQ(q.pop().work, 1u);
+  EXPECT_EQ(q.pop().work, 0u);
+  EXPECT_TRUE(q.empty());
 }
 
 // A handle outlives its event: after A fires, B may take A's slot. A's
