@@ -23,7 +23,6 @@ MetricMap run_primitive(PreemptPrimitive primitive, std::uint64_t seed) {
   Rng rng(seed);
   DeadlineScheduler::Options options;
   options.primitive = primitive;
-  options.laxity_margin = seconds(20);
   cluster.set_scheduler(std::make_unique<DeadlineScheduler>(options));
 
   // Background: two long tasks, no deadline.

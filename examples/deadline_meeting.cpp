@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   TimelineRecorder timeline(cluster.job_tracker());
   DeadlineScheduler::Options options;
   options.primitive = primitive;
-  options.laxity_margin = seconds(20);
   cluster.set_scheduler(std::make_unique<DeadlineScheduler>(options));
 
   cluster.submit_at(0.1, single_task_job("background", 0, light_map_task()));

@@ -16,7 +16,6 @@ int main() {
   Cluster cluster(paper_cluster());
   TimelineRecorder timeline(cluster.job_tracker());
   FairScheduler::Options options;
-  options.cluster_map_slots = 1;
   options.preemption_timeout = seconds(10);
   options.primitive = PreemptPrimitive::Suspend;
   auto sched = std::make_unique<FairScheduler>(options);

@@ -13,7 +13,6 @@
 #include "policy/policy.hpp"
 #include "revoke/lifetime.hpp"
 #include "revoke/manager.hpp"
-#include "sched/capacity.hpp"
 #include "sched/deadline.hpp"
 #include "sched/fair.hpp"
 #include "sched/fifo.hpp"
@@ -91,42 +90,42 @@ const std::string& axis(const RunDescriptor& d, const char* key) {
   return *v;
 }
 
-[[noreturn]] void bad_axis(const char* key, const std::string& value, const char* what) {
+[[noreturn]] void not_a(std::string_view label, const std::string& text, const char* kind) {
   std::ostringstream msg;
-  msg << "descriptor key '" << key << "' is not " << what << ": '" << value << "'";
+  msg << label << " is not " << kind << ": '" << text << "'";
   throw SimError(msg.str());
 }
 
-double real_axis(const RunDescriptor& d, const char* key) {
-  const std::string& v = axis(d, key);
-  std::size_t used = 0;
-  double out = 0;
-  try {
-    out = std::stod(v, &used);
-  } catch (const std::exception&) {
-    bad_axis(key, v, "numeric");
+/// Integers parse exactly: the whole text, in range, no detour through
+/// double (which rounds 20-digit seeds and truncates "12.9").
+template <typename Int>
+Int parse_integer(const std::string& text, std::string_view label, Int min, const char* kind) {
+  Int out{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ec != std::errc{} || end != text.data() + text.size() || out < min) {
+    not_a(label, text, kind);
   }
-  if (used != v.size()) bad_axis(key, v, "numeric");  // "0.5x" is a typo, not 0.5
   return out;
 }
 
-/// Integer axes parse exactly: the whole value, in range, no detour
-/// through double (which rounds 20-digit seeds and truncates "12.9").
-template <typename Int>
-Int integer_axis(const RunDescriptor& d, const char* key, Int min, const char* what) {
-  const std::string& v = axis(d, key);
-  Int out{};
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || end != v.data() + v.size() || out < min) bad_axis(key, v, what);
-  return out;
+/// What a descriptor axis's parse error calls it.
+std::string axis_label(const char* key) {
+  std::string label = "descriptor key '";
+  label += key;
+  label += '\'';
+  return label;
+}
+
+double real_axis(const RunDescriptor& d, const char* key) {
+  return parse_real(axis(d, key), axis_label(key));
 }
 
 std::uint64_t seed_axis(const RunDescriptor& d) {
-  return integer_axis<std::uint64_t>(d, "seed", 0, "an unsigned 64-bit integer");
+  return parse_seed(axis(d, "seed"), axis_label("seed"));
 }
 
 int count_axis(const RunDescriptor& d, const char* key) {
-  return integer_axis<int>(d, key, 1, "a positive integer");
+  return parse_count(axis(d, key), axis_label(key));
 }
 
 /// The counters subset shipped per cell: the preemption protocol's
@@ -209,6 +208,15 @@ void run_two_job_cell(const RunDescriptor& d, const RunOptions& opts, ResultReco
 /// Queue axis of the trace workload: `name:capacity[:preempt]|...`.
 /// Descriptor values cannot carry ';' or ',' (RunDescriptor::parse
 /// splits on both), so the queue list uses '|' and ':' instead.
+/// `options` with the primitive and the policy rules filled in.
+template <typename S>
+std::unique_ptr<Scheduler> preempting(typename S::Options options, PreemptPrimitive primitive,
+                                      const policy::PolicyOptions& policy) {
+  options.primitive = primitive;
+  options.policy = policy;
+  return std::make_unique<S>(std::move(options));
+}
+
 std::vector<CapacityScheduler::QueueConfig> parse_queue_spec(const std::string& spec) {
   std::vector<CapacityScheduler::QueueConfig> out;
   std::size_t at = 0;
@@ -226,11 +234,7 @@ std::vector<CapacityScheduler::QueueConfig> parse_queue_spec(const std::string& 
     const std::size_t c2 = item.find(':', c1 + 1);
     const std::string cap =
         item.substr(c1 + 1, (c2 == std::string::npos ? item.size() : c2) - c1 - 1);
-    try {
-      q.capacity = std::stod(cap);
-    } catch (const std::exception&) {
-      throw SimError("queue '" + q.name + "' capacity is not numeric: '" + cap + "'");
-    }
+    q.capacity = parse_real(cap, "queue '" + q.name + "' capacity");
     if (c2 != std::string::npos) q.preempt = item.substr(c2 + 1);
     out.push_back(std::move(q));
   }
@@ -243,7 +247,6 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   cfg.num_nodes = count_axis(d, "nodes");
   cfg.seed = seed_axis(d);
   const double swap_watermark = real_axis(d, "swap_watermark");
-  cfg.hadoop.suspend_swap_watermark = swap_watermark;
   apply_observability(opts, cfg);
   Cluster cluster(cfg);
 
@@ -271,35 +274,7 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   std::vector<CapacityScheduler::QueueConfig> queues =
       parse_queue_spec(axis(d, "queues"));
 
-  const std::string& which = axis(d, "scheduler");
-  if (which == "hfsp") {
-    HfspScheduler::Options options;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<HfspScheduler>(options));
-  } else if (which == "fair") {
-    FairScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<FairScheduler>(options));
-  } else if (which == "deadline") {
-    DeadlineScheduler::Options options;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<DeadlineScheduler>(options));
-  } else if (which == "capacity") {
-    CapacityScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.queues = queues;
-    options.primitive = primitive;
-    options.policy = popts;
-    cluster.set_scheduler(std::make_unique<CapacityScheduler>(options));
-  } else if (which == "fifo") {
-    cluster.set_scheduler(std::make_unique<FifoScheduler>());
-  } else {
-    throw SimError("unknown scheduler '" + which + "' (fifo|fair|hfsp|capacity|deadline)");
-  }
+  cluster.set_scheduler(make_scheduler(axis(d, "scheduler"), primitive, popts, queues));
 
   SwimConfig swim;
   swim.jobs = count_axis(d, "jobs");
@@ -404,6 +379,42 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
 }
 
 }  // namespace
+
+double parse_real(const std::string& text, std::string_view label) {
+  std::size_t used = 0;
+  double out = 0;
+  try {
+    out = std::stod(text, &used);
+  } catch (const std::exception&) {
+    not_a(label, text, "numeric");
+  }
+  if (used != text.size()) not_a(label, text, "numeric");  // "0.5x" is a typo, not 0.5
+  return out;
+}
+
+std::uint64_t parse_seed(const std::string& text, std::string_view label) {
+  return parse_integer<std::uint64_t>(text, label, 0, "an unsigned 64-bit integer");
+}
+
+int parse_count(const std::string& text, std::string_view label) {
+  return parse_integer<int>(text, label, 1, "a positive integer");
+}
+
+std::unique_ptr<Scheduler> make_scheduler(
+    std::string_view name, PreemptPrimitive primitive, const policy::PolicyOptions& policy,
+    const std::vector<CapacityScheduler::QueueConfig>& queues) {
+  if (name == "fifo") return std::make_unique<FifoScheduler>();
+  if (name == "fair") return preempting<FairScheduler>({}, primitive, policy);
+  if (name == "hfsp") return preempting<HfspScheduler>({}, primitive, policy);
+  if (name == "capacity") return preempting<CapacityScheduler>({queues}, primitive, policy);
+  if (name == "deadline") return preempting<DeadlineScheduler>({}, primitive, policy);
+  std::string msg = "unknown scheduler '";
+  msg += name;
+  msg += "' (";
+  msg += kSchedulerNames;
+  msg += ')';
+  throw SimError(msg);
+}
 
 void RunDescriptor::set(const std::string& key, const std::string& value) {
   const auto at = std::lower_bound(

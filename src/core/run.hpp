@@ -23,11 +23,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "hadoop/scheduler.hpp"
+#include "policy/policy.hpp"
+#include "sched/capacity.hpp"
 
 namespace osap::core {
 
@@ -129,6 +134,26 @@ struct Axis {
 /// an axis the workload does not accept. Values are not parsed here: a
 /// malformed value fails its run, with the key named in the error.
 [[nodiscard]] RunDescriptor normalize_descriptor(RunDescriptor d);
+
+/// Exact readers of numeric text, shared by the descriptor axes and the
+/// `osap` CLI's flags. Each reads the whole text: "12.9" is not a count,
+/// "0.5x" is not a real, and a 20-digit seed is not rounded through a
+/// double. Anything else throws SimError "<label> is not <kind>: '<text>'".
+[[nodiscard]] double parse_real(const std::string& text, std::string_view label);
+[[nodiscard]] std::uint64_t parse_seed(const std::string& text, std::string_view label);
+/// A positive int.
+[[nodiscard]] int parse_count(const std::string& text, std::string_view label);
+
+/// Every name make_scheduler accepts, as usage and error texts print it.
+inline constexpr const char* kSchedulerNames = "fifo|fair|hfsp|capacity|deadline";
+
+/// The scheduler `name` names (the `scheduler` axis, `osap trace
+/// --scheduler`), evicting with `primitive` under `policy`; only capacity
+/// reads `queues`, fifo preempts nothing, and every other option keeps
+/// its default. Throws SimError for a name outside kSchedulerNames.
+[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
+    std::string_view name, PreemptPrimitive primitive, const policy::PolicyOptions& policy = {},
+    const std::vector<CapacityScheduler::QueueConfig>& queues = {{"default", 1.0}});
 
 /// Run one cell. Descriptor errors and simulation failures are reported
 /// in the record (ok=false + reason), not thrown — a sweep must survive a

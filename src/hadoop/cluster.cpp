@@ -1,11 +1,8 @@
 #include "hadoop/cluster.hpp"
 
 #include <fstream>
-#include <iomanip>
-#include <sstream>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace osap {
 
@@ -101,12 +98,6 @@ void Cluster::run(const std::function<void()>& tick) {
     // The tick stride is in fired events, not time, so it is identical
     // across runs; the hook itself never touches simulation state.
     if (tick && (++fired & 0x7ff) == 0) tick();
-  }
-  if (cfg_.print_trace_digest) {
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << sim_.trace_digest();
-    OSAP_LOG(Info, "cluster") << "trace digest " << os.str() << " after "
-                              << std::dec << sim_.events_processed() << " events";
   }
   const trace::TraceConfig& tc = sim_.trace().config();
   if (!tc.trace_file.empty()) {

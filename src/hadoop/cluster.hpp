@@ -36,9 +36,6 @@ struct ClusterConfig {
   /// Runtime invariant auditing + livelock watchdog (on by default; flip
   /// `audit.enabled` off for large batch experiments).
   AuditConfig audit;
-  /// Log the event-trace digest (Simulation::trace_digest) when run()
-  /// returns — the determinism witness; see docs/LINT.md.
-  bool print_trace_digest = false;
   /// Observability (src/trace): span tracing, counter dump destinations.
   /// Tracing is purely passive — enabling it never changes the digest.
   trace::TraceConfig trace;

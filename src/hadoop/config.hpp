@@ -9,31 +9,15 @@ namespace osap {
 struct HadoopConfig {
   /// TaskTracker → JobTracker heartbeat period (Hadoop 1 default 3 s).
   Duration heartbeat_interval = seconds(3);
-  /// Send an immediate out-of-band heartbeat when a task finishes.
-  bool out_of_band_heartbeat = true;
-  /// Also send one when a suspension takes effect, so the freed slot is
-  /// usable right away rather than at the next periodic heartbeat. The
-  /// ablation bench studies the difference.
+  /// A TaskTracker sends an immediate out-of-band heartbeat when a task
+  /// finishes; this also sends one when a suspension takes effect, so the
+  /// freed slot is usable right away rather than at the next periodic
+  /// heartbeat. The ablation bench studies the difference.
   bool oob_on_suspend = true;
-  /// Push the "all maps done" barrier release to reduces immediately (a
-  /// JobTracker-initiated out-of-band message) instead of piggybacking it
-  /// on each reduce's next periodic heartbeat — cuts up to one heartbeat
-  /// interval of shuffle-barrier latency (mirrors Hadoop's completion
-  /// out-of-band heartbeat).
-  bool oob_maps_done = true;
   /// Concurrent task slots per TaskTracker. The paper's single-slot setup
   /// ("the number of running tasks per machine is limited") maps to 1.
   int map_slots = 2;
   int reduce_slots = 2;
-  /// Upper bound on suspended tasks parked on one TaskTracker, ensuring
-  /// aggregate memory stays under RAM + swap (§III-A).
-  int max_suspended_per_tracker = 4;
-  /// Swap-used fraction past which the policy layer treats a node as
-  /// memory-pressured: the preemption-policy engine demotes suspend-family
-  /// decisions to kill there, and the gang rotator refuses to park more
-  /// tasks on it (docs/POLICY.md). Only consulted when a policy engine or
-  /// gang rotation is armed; the bare schedulers ignore it. 1.0 disables.
-  double suspend_swap_watermark = 0.5;
   /// Duration of the cleanup attempt that removes a killed task's
   /// temporary output; it occupies the slot before a successor can start.
   Duration kill_cleanup_duration = seconds(4.0);

@@ -570,7 +570,6 @@ void JobTracker::task_terminal(Task& task, TaskState state) {
     std::erase_if(it->second, [](const KillOrder& order) { return !order.attempt_only; });
     if (it->second.empty()) must_kill_.erase(it);
   }
-  maps_done_pending_.erase(task.id);
 }
 
 void JobTracker::task_succeeded(Task& t, NodeId node) {
@@ -593,9 +592,6 @@ void JobTracker::clear_speculative(Task& task) {
   task.spec_node = NodeId{};
   task.spec_progress = 0;
   task.spec_started_at = -1;
-  if (const auto it = maps_done_pending_.find(task.id); it != maps_done_pending_.end()) {
-    it->second.spec_sent = false;
-  }
 }
 
 void JobTracker::promote_speculative(Task& task) {
@@ -617,10 +613,6 @@ void JobTracker::promote_speculative(Task& task) {
   task.checkpointed = false;
   task.use_checkpoint = false;
   command_sent_.erase(task.id);
-  // The copy's MapsDone bookkeeping becomes the primary's.
-  if (const auto it = maps_done_pending_.find(task.id); it != maps_done_pending_.end()) {
-    it->second.primary_sent = it->second.spec_sent;
-  }
   clear_speculative(task);
   tracer_->instant(trk_, "speculation_promoted", {{"task", task.id.value()}});
   emit(ClusterEventType::SpeculationPromoted, task.job, task.id, task.node);
@@ -646,28 +638,22 @@ void JobTracker::maybe_release_reduces(JobId id) {
                          {{"task", tid.value()}});
     // A racing reduce holds the shuffle barrier in *both* attempts;
     // release each through its own tracker.
-    bool parked = false;
     for (const auto& [target, node] :
          {std::pair{t.tracker, t.node}, std::pair{t.spec_tracker, t.spec_node}}) {
       if (!target.valid()) continue;
       TaskTracker* tt = tracker(target);
-      if (cfg_.oob_maps_done && tt != nullptr) {
-        // Push the barrier release immediately instead of parking it until
-        // the reduce's next periodic heartbeat. Goes through
-        // deliver_actions, not on_response, so it never consumes the
-        // tracker's heartbeat round-trip bookkeeping.
-        ctr_oob_maps_done_->add();
-        ctr_actions_->add();
-        HeartbeatResponse push;
-        push.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
-        net_.send(master_, node, [tt, push = std::move(push)]() mutable {
-          tt->deliver_actions(std::move(push));
-        });
-      } else {
-        parked = true;
-      }
+      OSAP_CHECK_MSG(tt != nullptr, tid << " is bound to unregistered " << target);
+      // The release goes out at once, one network hop, through
+      // deliver_actions rather than on_response, so it never consumes the
+      // tracker's heartbeat round-trip bookkeeping.
+      ctr_oob_maps_done_->add();
+      ctr_actions_->add();
+      HeartbeatResponse push;
+      push.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
+      net_.send(master_, node, [tt, push = std::move(push)]() mutable {
+        tt->deliver_actions(std::move(push));
+      });
     }
-    if (parked) maps_done_pending_.emplace(tid, MapsDonePending{});
   }
 }
 
@@ -1132,17 +1118,6 @@ void JobTracker::on_heartbeat(TrackerStatus status) {
       sent = true;
     }
   }
-  for (auto& [tid, pending] : maps_done_pending_) {
-    const Task& t = tasks_[tid.value()];
-    if (!pending.primary_sent && t.tracker == status.tracker) {
-      response.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
-      pending.primary_sent = true;
-    }
-    if (!pending.spec_sent && t.speculating() && t.spec_tracker == status.tracker) {
-      response.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
-      pending.spec_sent = true;
-    }
-  }
 
   // Ask the scheduler for work for the free slots. Blacklisted and
   // revocation-draining trackers still heartbeat (their in-flight acks
@@ -1314,19 +1289,15 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
     }
   }
   FlatIdSet<JobId> with_suspended;
-  const auto check_command_map = [&](const auto& map, const char* what) {
-    for (const auto& [tid, unused] : map) {
-      (void)unused;
-      if (tid.value() >= tasks_.size()) {
-        flag(what, " command addressed to unknown ", tid);
-      } else if (!tasks_[tid.value()].live()) {
-        flag(what, " command pending for ", tid, " in terminal state ",
-             to_string(tasks_[tid.value()].state));
-      }
+  for (const auto& [tid, unused] : command_sent_) {
+    (void)unused;
+    if (tid.value() >= tasks_.size()) {
+      flag("suspend/resume command addressed to unknown ", tid);
+    } else if (!tasks_[tid.value()].live()) {
+      flag("suspend/resume command pending for ", tid, " in terminal state ",
+           to_string(tasks_[tid.value()].state));
     }
-  };
-  check_command_map(command_sent_, "suspend/resume");
-  check_command_map(maps_done_pending_, "maps-done");
+  }
   // Kill orders get their own rules: an attempt-only order may outlive the
   // task's live states (it tracks a dying race loser), but every order
   // must target a registered, non-lost tracker, at most once per tracker.
@@ -1434,10 +1405,9 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
 
 void JobTracker::dump(std::ostream& os) const {
   os << jobs_.size() << " jobs, " << tasks_.size() << " tasks; pending commands: "
-     << command_sent_.size() << " susp/res, " << must_kill_.size() << " kill, "
-     << maps_done_pending_.size() << " maps-done; " << jobs_with_suspended_.size()
-     << " jobs with parked tasks; speculation agenda: " << spec_due_.size() << " due, "
-     << spec_wheel_.size() << " wheel filings\n";
+     << command_sent_.size() << " susp/res, " << must_kill_.size() << " kill; "
+     << jobs_with_suspended_.size() << " jobs with parked tasks; speculation agenda: "
+     << spec_due_.size() << " due, " << spec_wheel_.size() << " wheel filings\n";
   std::vector<TrackerId> lost;
   std::vector<TrackerId> blacklisted;
   for (const TrackerSlot& s : tracker_slots_) {

@@ -153,6 +153,11 @@ class JobTracker final : public InvariantAuditor {
     return jobs_with_suspended_;
   }
   [[nodiscard]] bool all_jobs_done() const;
+  /// Map slots over every registered tracker, lost or not: what the fair
+  /// and capacity schedulers divide into shares.
+  [[nodiscard]] int cluster_map_slots() const noexcept {
+    return static_cast<int>(tracker_slots_.size()) * cfg_.map_slots;
+  }
   [[nodiscard]] TaskTracker* tracker(TrackerId id);
   [[nodiscard]] NodeId master_node() const noexcept { return master_; }
   [[nodiscard]] SimTime now() const noexcept { return sim_.now(); }
@@ -190,12 +195,6 @@ class JobTracker final : public InvariantAuditor {
     TrackerId tracker;
     bool sent = false;
     bool attempt_only = false;
-  };
-  /// Per-attempt delivery flags for a parked MapsDone barrier release
-  /// (only used when `oob_maps_done` is off).
-  struct MapsDonePending {
-    bool primary_sent = false;
-    bool spec_sent = false;
   };
   /// Flat per-tracker hot state, index-addressed in registration order
   /// (docs/PERF.md). Everything a heartbeat or lease sweep touches lives
@@ -256,8 +255,8 @@ class JobTracker final : public InvariantAuditor {
   /// output now lives on).
   void task_succeeded(Task& task, NodeId node);
   [[nodiscard]] bool maps_pending(const Job& job) const;
-  /// A map just succeeded: if it was the job's last one, queue MapsDone
-  /// for every live reduce of the job (both attempts of a racing one).
+  /// A map just succeeded: if it was the job's last one, push MapsDone
+  /// to every live reduce of the job (both attempts of a racing one).
   void maybe_release_reduces(JobId id);
 
   // --- speculative execution (docs/SPECULATION.md) -------------------------
@@ -362,9 +361,6 @@ class JobTracker final : public InvariantAuditor {
   /// Pending Kill commands per task; a racing task can owe kills to both
   /// its attempts at once.
   std::map<TaskId, std::vector<KillOrder>> must_kill_;
-  /// Reduces owed a MapsDone action (their job's maps all succeeded after
-  /// they launched with the shuffle barrier armed).
-  std::map<TaskId, MapsDonePending> maps_done_pending_;
   IdGenerator<JobId> job_ids_;
   IdGenerator<TaskId> task_ids_;
 

@@ -273,7 +273,7 @@ void TaskTracker::launch(const TaskAction& action) {
                   --used_reduce_slots_;
                 }
                 queue_report(tid, ReportKind::Suspended);
-                if (cfg_.out_of_band_heartbeat && cfg_.oob_on_suspend) send_status(true);
+                if (cfg_.oob_on_suspend) send_status(true);
               },
           .on_continued =
               [this, tid] {
@@ -400,7 +400,7 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
     queue_report(id, ReportKind::Succeeded);
     tracer_->async_end(trk_, "task", id.value(), {{"outcome", "succeeded"}});
     live_.erase(it);
-    if (cfg_.out_of_band_heartbeat) send_status(true);
+    send_status(true);
     return;
   }
   if (task.checkpointing) {
@@ -420,7 +420,7 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
     pending_reports_.push_back(report);
     tracer_->async_end(trk_, "task", id.value(), {{"outcome", "checkpointed"}});
     live_.erase(it);
-    if (cfg_.out_of_band_heartbeat) send_status(true);
+    send_status(true);
     return;
   }
   if (task.kill_requested) {
@@ -440,7 +440,7 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
   queue_report(id, ReportKind::Failed);
   tracer_->async_end(trk_, "task", id.value(), {{"outcome", "failed"}});
   live_.erase(it);
-  if (cfg_.out_of_band_heartbeat) send_status(true);
+  send_status(true);
 }
 
 void TaskTracker::finish_cleanup(TaskId id) {
@@ -454,7 +454,7 @@ void TaskTracker::finish_cleanup(TaskId id) {
   queue_report(id, ReportKind::KilledAck);
   tracer_->async_end(trk_, "task", id.value(), {{"outcome", "killed"}});
   live_.erase(it);
-  if (cfg_.out_of_band_heartbeat) send_status(true);
+  send_status(true);
 }
 
 void TaskTracker::queue_report(TaskId id, ReportKind kind) {

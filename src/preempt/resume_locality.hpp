@@ -31,7 +31,6 @@ class ResumeLocalityPolicy {
   int on_heartbeat(const TrackerStatus& status);
 
   [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
-  [[nodiscard]] Duration threshold() const noexcept { return threshold_; }
 
  private:
   struct Pending {

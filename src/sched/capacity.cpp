@@ -11,29 +11,34 @@ namespace osap {
 
 namespace {
 constexpr const char* kLog = "capacity";
-}
 
-CapacityScheduler::CapacityScheduler(Options options) : options_(std::move(options)) {
+/// Per-queue `preempt=` attributes are policy rules keyed on the donor
+/// (preempted) queue, appended after any explicit ones. Parsing them
+/// here also rejects a bad spelling when the scheduler is built.
+policy::PolicyOptions with_queue_rules(const CapacityScheduler::Options& options) {
+  policy::PolicyOptions popts = options.policy;
+  for (const CapacityScheduler::QueueConfig& q : options.queues) {
+    if (!q.preempt.empty()) popts.per_queue.emplace_back(q.name, parse_primitive(q.preempt));
+  }
+  return popts;
+}
+}  // namespace
+
+CapacityScheduler::CapacityScheduler(Options options)
+    : PreemptingScheduler(options.primitive, with_queue_rules(options)),
+      options_(std::move(options)) {
   OSAP_CHECK_MSG(!options_.queues.empty(), "capacity scheduler needs at least one queue");
   double total = 0;
   for (const QueueConfig& q : options_.queues) {
     OSAP_CHECK_MSG(q.capacity > 0 && q.capacity <= 1.0,
                    "queue '" << q.name << "' capacity must be in (0,1]");
-    if (!q.preempt.empty()) parse_primitive(q.preempt);  // validate eagerly
     total += q.capacity;
   }
   OSAP_CHECK_MSG(total <= 1.0 + 1e-9, "queue capacities exceed the cluster");
 }
 
 void CapacityScheduler::attached() {
-  // Per-queue `preempt=` attributes are policy rules keyed on the donor
-  // (preempted) queue, appended after any explicit ones.
-  policy::PolicyOptions popts = options_.policy;
-  for (const QueueConfig& q : options_.queues) {
-    if (!q.preempt.empty()) popts.per_queue.emplace_back(q.name, parse_primitive(q.preempt));
-  }
-  policy_.emplace(*jt_, options_.primitive, std::move(popts));
-  resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
+  PreemptingScheduler::attached();
   for (const QueueConfig& q : options_.queues) satisfied_at_[q.name] = jt_->now();
 }
 
@@ -51,7 +56,7 @@ int CapacityScheduler::guaranteed_slots(const std::string& queue) const {
   for (const QueueConfig& q : options_.queues) {
     if (q.name == queue) {
       return std::max(1, static_cast<int>(std::floor(
-                             q.capacity * options_.cluster_map_slots + 1e-9)));
+                             q.capacity * jt_->cluster_map_slots() + 1e-9)));
     }
   }
   return 0;
@@ -100,28 +105,22 @@ void CapacityScheduler::check_guarantees() {
       }
     }
     if (donor == nullptr) continue;
-    std::vector<EvictionCandidate> candidates;
+    std::vector<EvictionCandidate> pool;
     for (JobId jid : jt_->jobs_in_order()) {
       if (queue_of(jid) != donor->name) continue;
-      auto more = collect_candidates(*jt_, jid);
-      candidates.insert(candidates.end(), more.begin(), more.end());
+      const std::vector<EvictionCandidate> more = candidates(jid);
+      pool.insert(pool.end(), more.begin(), more.end());
     }
-    const TaskId victim = pick_victim(options_.eviction, candidates);
+    const TaskId victim = pick_victim(kEviction, pool);
     if (!victim.valid()) continue;
     OSAP_LOG(Info, kLog) << "queue '" << q.name << "' under its guarantee; preempting "
                          << victim << " from queue '" << donor->name << "'";
-    if (policy_->preempt(victim).issued) {
-      ++preemptions_;
-      satisfied_at_[q.name] = now;
-    }
+    if (evict(victim)) satisfied_at_[q.name] = now;
   }
 }
 
 std::vector<TaskId> CapacityScheduler::assign(const TrackerStatus& status) {
   check_guarantees();
-
-  int free_maps = status.free_map_slots;
-  int free_reduces = status.free_reduce_slots;
 
   // Resume suspended tasks only if their queue is within its guarantee
   // and no under-guarantee queue is waiting for a slot.
@@ -133,13 +132,10 @@ std::vector<TaskId> CapacityScheduler::assign(const TrackerStatus& status) {
     }
   }
   if (!someone_waiting) {
-    // Suspended tasks of every job, Running or not (request_resume only
-    // queues; transitions happen in on_heartbeat below).
-    for (JobId jid : jt_->jobs_with_suspended()) {
-      for (TaskId tid : jt_->job(jid).suspended) resume_policy_->request_resume(tid);
-    }
+    // Suspended tasks of every job, Running or not.
+    for (JobId jid : jt_->jobs_with_suspended()) request_resumes(jt_->job(jid));
   }
-  free_maps -= resume_policy_->on_heartbeat(status);
+  Slots slots = drive_resumes(status);
 
   // Serve queues by how far below their guarantee they sit.
   std::vector<const QueueConfig*> order;
@@ -154,17 +150,9 @@ std::vector<TaskId> CapacityScheduler::assign(const TrackerStatus& status) {
   std::vector<TaskId> out;
   for (const QueueConfig* q : order) {
     for (JobId jid : jt_->running_jobs()) {
-      const Job& job = jt_->job(jid);
       if (queue_of(jid) != q->name) continue;
-      for (TaskId tid : job.unassigned) {
-        const Task& task = jt_->task(tid);
-        if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) {
-          continue;
-        }
-        int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-        if (budget <= 0) continue;
-        out.push_back(tid);
-        --budget;
+      for (TaskId tid : jt_->job(jid).unassigned) {
+        if (slots.take(jt_->task(tid)) == Fit::Taken) out.push_back(tid);
       }
     }
   }

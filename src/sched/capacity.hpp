@@ -6,23 +6,22 @@
 // longer than the preemption timeout, tasks of over-capacity queues are
 // preempted with the configured primitive to reclaim the borrowed slots —
 // the second of the two stock Hadoop schedulers the paper names as
-// preemption consumers.
+// preemption consumers. Victims are the donor queue's youngest attempts,
+// as Hadoop's FAIR scheduler picks them.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "policy/policy.hpp"
-#include "preempt/eviction.hpp"
-#include "preempt/resume_locality.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/preempting.hpp"
 
 namespace osap {
 
-class CapacityScheduler : public Scheduler {
+class CapacityScheduler : public PreemptingScheduler {
  public:
+  static constexpr EvictionPolicy kEviction = EvictionPolicy::LastLaunched;
+
   struct QueueConfig {
     std::string name;
     /// Guaranteed fraction of the cluster's map slots, in (0,1].
@@ -35,12 +34,9 @@ class CapacityScheduler : public Scheduler {
     std::string preempt;
   };
   struct Options {
-    int cluster_map_slots = 2;
     std::vector<QueueConfig> queues;
     Duration preemption_timeout = seconds(15);
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
-    EvictionPolicy eviction = EvictionPolicy::LastLaunched;
-    Duration resume_locality_threshold = seconds(30);
     /// Per-queue rules and swap demotion over `primitive`
     /// (docs/POLICY.md); queue `preempt=` attributes are appended.
     policy::PolicyOptions policy;
@@ -51,8 +47,8 @@ class CapacityScheduler : public Scheduler {
   std::vector<TaskId> assign(const TrackerStatus& status) override;
   void job_added(JobId id) override;
 
-  [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
-  /// Guaranteed whole slots of a queue (floor of fraction * slots, >= 1).
+  /// Guaranteed whole slots of a queue (floor of fraction * the cluster's
+  /// map slots, >= 1).
   [[nodiscard]] int guaranteed_slots(const std::string& queue) const;
   /// Live tasks currently charged to a queue.
   [[nodiscard]] int used_slots(const std::string& queue) const;
@@ -64,10 +60,7 @@ class CapacityScheduler : public Scheduler {
   void check_guarantees();
 
   Options options_;
-  std::optional<policy::PreemptionPolicy> policy_;
-  std::optional<ResumeLocalityPolicy> resume_policy_;
   std::unordered_map<std::string, SimTime> satisfied_at_;
-  int preemptions_ = 0;
 };
 
 }  // namespace osap

@@ -6,44 +6,41 @@
 // Jobs carry an absolute deadline; slots go to the job with the earliest
 // deadline among those whose remaining work still fits before it (plain
 // EDF otherwise). When an urgent job cannot get slots and its laxity
-// (deadline − now − estimated remaining work) falls below a threshold,
+// (deadline − now − estimated remaining work) falls below kLaxityMargin,
 // tasks of the latest-deadline job are preempted with the configured
-// primitive.
+// primitive, freshest first (least work at risk, §V-A).
 #pragma once
 
-#include <optional>
-
-#include "policy/policy.hpp"
-#include "preempt/eviction.hpp"
-#include "preempt/resume_locality.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/preempting.hpp"
 
 namespace osap {
 
-class DeadlineScheduler : public Scheduler {
+class DeadlineScheduler : public PreemptingScheduler {
  public:
+  static constexpr EvictionPolicy kEviction = EvictionPolicy::LeastProgress;
+  /// Preempt for a job once its slack drops below this margin.
+  static constexpr Duration kLaxityMargin = seconds(20);
+  /// Below this (negative) slack the deadline is written off and the
+  /// job stops preempting others. Without the cutoff a cluster of
+  /// hopeless deadlines thrashes forever under checkpoint preemption:
+  /// every job evicts every other each heartbeat and the relaunch
+  /// fast-forward eats all the progress a slice ever makes.
+  static constexpr Duration kGiveUpLaxity = seconds(-60);
+  /// Rough per-byte service-time estimate used for laxity: the synthetic
+  /// mapper's parse rate.
+  static constexpr double kSecondsPerByte = 1.0 / (6.7 * static_cast<double>(MiB));
+
   struct Options {
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
-    EvictionPolicy eviction = EvictionPolicy::LeastProgress;
-    Duration resume_locality_threshold = seconds(30);
-    /// Preempt for a job once its slack drops below this margin.
-    Duration laxity_margin = seconds(20);
-    /// Below this (negative) slack the deadline is written off and the
-    /// job stops preempting others. Without the cutoff a cluster of
-    /// hopeless deadlines thrashes forever under checkpoint preemption:
-    /// every job evicts every other each heartbeat and the relaunch
-    /// fast-forward eats all the progress a slice ever makes.
-    Duration give_up_laxity = seconds(-60);
-    /// Rough per-byte service-time estimate used for laxity (defaults to
-    /// the synthetic mapper's parse rate).
-    double seconds_per_byte = 1.0 / (6.7 * static_cast<double>(MiB));
     int max_preemptions_per_heartbeat = 1;
     /// Per-queue rules and swap demotion over `primitive` (docs/POLICY.md).
     policy::PolicyOptions policy;
   };
 
-  DeadlineScheduler() : options_(Options{}) {}
-  explicit DeadlineScheduler(Options options) : options_(options) {}
+  DeadlineScheduler() : DeadlineScheduler(Options{}) {}
+  explicit DeadlineScheduler(Options options)
+      : PreemptingScheduler(options.primitive, options.policy),
+        max_preemptions_per_heartbeat_(options.max_preemptions_per_heartbeat) {}
 
   std::vector<TaskId> assign(const TrackerStatus& status) override;
 
@@ -51,16 +48,11 @@ class DeadlineScheduler : public Scheduler {
   [[nodiscard]] Duration remaining_work(JobId id) const;
   /// deadline − now − remaining work; negative means a likely miss.
   [[nodiscard]] Duration laxity(JobId id) const;
-  [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
 
  private:
-  void attached() override;
   [[nodiscard]] std::vector<JobId> edf_order() const;
 
-  Options options_;
-  std::optional<policy::PreemptionPolicy> policy_;
-  std::optional<ResumeLocalityPolicy> resume_policy_;
-  int preemptions_ = 0;
+  int max_preemptions_per_heartbeat_;
 };
 
 }  // namespace osap

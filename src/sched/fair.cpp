@@ -10,11 +10,6 @@ namespace {
 constexpr const char* kLog = "fair";
 }
 
-void FairScheduler::attached() {
-  policy_.emplace(*jt_, options_.primitive, options_.policy);
-  resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-}
-
 void FairScheduler::job_added(JobId id) { satisfied_at_[id] = jt_->now(); }
 
 void FairScheduler::job_completed(JobId id) { satisfied_at_.erase(id); }
@@ -30,37 +25,28 @@ int FairScheduler::demand(JobId id) const {
 }
 
 double FairScheduler::fair_share() const {
+  const auto slots = static_cast<double>(jt_->cluster_map_slots());
   int active = 0;
   for (JobId id : jt_->running_jobs()) {
     if (demand(id) > 0) ++active;
   }
-  if (active == 0) return static_cast<double>(options_.cluster_map_slots);
-  return static_cast<double>(options_.cluster_map_slots) / active;
+  return active == 0 ? slots : slots / active;
 }
 
-void FairScheduler::resume_where_possible(const TrackerStatus& status, int& free_maps) {
+void FairScheduler::request_victim_resumes() {
   // A freed slot first serves starved jobs' unassigned tasks; suspended
   // victims come back only when nobody is waiting below their share —
   // otherwise the scheduler would undo its own preemption on the next
   // heartbeat.
   const double share = fair_share();
-  bool someone_waiting = false;
   for (JobId jid : jt_->running_jobs()) {
     if (running_or_pending_command(jid) >= static_cast<int>(share + 1e-9) + 1) continue;
-    if (!jt_->job(jid).unassigned.empty()) {
-      someone_waiting = true;
-      break;
-    }
+    if (!jt_->job(jid).unassigned.empty()) return;
   }
-  if (!someone_waiting) {
-    for (JobId jid : jt_->jobs_with_suspended()) {
-      const Job& job = jt_->job(jid);
-      if (job.state != JobState::Running) continue;
-      // request_resume only queues; transitions happen in on_heartbeat.
-      for (TaskId tid : job.suspended) resume_policy_->request_resume(tid);
-    }
+  for (JobId jid : jt_->jobs_with_suspended()) {
+    const Job& job = jt_->job(jid);
+    if (job.state == JobState::Running) request_resumes(job);
   }
-  free_maps -= resume_policy_->on_heartbeat(status);
 }
 
 void FairScheduler::check_starvation() {
@@ -90,26 +76,22 @@ void FairScheduler::check_starvation() {
       }
     }
     if (!fattest.valid()) continue;
-    const TaskId victim = pick_victim(options_.eviction, collect_candidates(*jt_, fattest));
+    const TaskId victim = pick_victim(kEviction, candidates(fattest));
     if (!victim.valid()) continue;
     OSAP_LOG(Info, kLog) << "job " << jid << " starved; preempting " << victim << " of job "
                          << fattest << " via " << to_string(options_.primitive);
-    if (policy_->preempt(victim).issued) {
-      ++preemptions_;
-      satisfied_at_[jid] = now;  // give the command time to take effect
-    }
+    // Give the command time to take effect.
+    if (evict(victim)) satisfied_at_[jid] = now;
   }
 }
 
 std::vector<TaskId> FairScheduler::assign(const TrackerStatus& status) {
   check_starvation();
-
-  int free_maps = status.free_map_slots;
-  int free_reduces = status.free_reduce_slots;
-  resume_where_possible(status, free_maps);
+  request_victim_resumes();
+  Slots slots = drive_resumes(status);
 
   std::vector<TaskId> out;
-  if (free_maps <= 0 && free_reduces <= 0) return out;
+  if (!slots.any()) return out;
 
   // Hand slots to jobs in ascending (running / share) order. Sorting the
   // running set then walking it is the same order the old sort-everything-
@@ -120,14 +102,8 @@ std::vector<TaskId> FairScheduler::assign(const TrackerStatus& status) {
     return running_or_pending_command(a) < running_or_pending_command(b);
   });
   for (JobId jid : queue) {
-    const Job& job = jt_->job(jid);
-    for (TaskId tid : job.unassigned) {
-      const Task& task = jt_->task(tid);
-      if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) continue;
-      int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-      if (budget <= 0) continue;
-      out.push_back(tid);
-      --budget;
+    for (TaskId tid : jt_->job(jid).unassigned) {
+      if (slots.take(jt_->task(tid)) == Fit::Taken) out.push_back(tid);
     }
   }
   return out;

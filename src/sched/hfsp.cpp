@@ -11,11 +11,6 @@ namespace {
 constexpr const char* kLog = "hfsp";
 }
 
-void HfspScheduler::attached() {
-  policy_.emplace(*jt_, options_.primitive, options_.policy);
-  resume_policy_.emplace(*jt_, options_.resume_locality_threshold);
-}
-
 Bytes HfspScheduler::remaining_size(JobId id) const {
   // The JobTracker keeps this total exact through its task-state and
   // task-progress choke points: per-task integer contributions are
@@ -36,9 +31,8 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   const JobId head = head_job();
   if (!head.valid()) return out;
 
-  // The head job gets its suspended tasks back first (request_resume only
-  // queues; nothing transitions until resume_policy_->on_heartbeat below).
-  for (TaskId tid : jt_->job(head).suspended) resume_policy_->request_resume(tid);
+  // The head job gets its suspended tasks back first.
+  request_resumes(jt_->job(head));
   // Parked victims of other jobs come back once the head has no queued
   // demand. Kill victims re-enter through the leftover-slot loop below;
   // a suspend victim has no other path back, and without this an idle
@@ -47,37 +41,24 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
   if (jt_->job(head).unassigned.empty()) {
     for (JobId jid : jt_->jobs_with_suspended()) {
       const Job& job = jt_->job(jid);
-      if (jid == head || job.state != JobState::Running) continue;
-      for (TaskId tid : job.suspended) resume_policy_->request_resume(tid);
+      if (jid != head && job.state == JobState::Running) request_resumes(job);
     }
   }
-  int free_maps = status.free_map_slots;
-  int free_reduces = status.free_reduce_slots;
-  free_maps -= resume_policy_->on_heartbeat(status);
+  Slots slots = drive_resumes(status);
 
   // Launch the head job's pending tasks.
   int head_pending = 0;
   for (TaskId tid : jt_->job(head).unassigned) {
-    const Task& task = jt_->task(tid);
-    if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) continue;
-    int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-    if (budget > 0) {
+    const Fit fit = slots.take(jt_->task(tid));
+    if (fit == Fit::Taken) {
       out.push_back(tid);
-      --budget;
-    } else {
+    } else if (fit == Fit::Full) {
       ++head_pending;
     }
   }
 
-  // Still starved? Take slots away from the largest job. The budget
-  // paces *effective* preemptions: an order the JobTracker refuses (the
-  // victim sits on a lost or blacklisted tracker, or a policy demotion
-  // hit a non-preemptable state) excludes that victim and retries the
-  // next candidate without consuming the budget — otherwise one dead
-  // order per heartbeat would starve the head job indefinitely.
-  int budget = options_.max_preemptions_per_heartbeat;
-  std::vector<TaskId> refused;
-  while (head_pending > 0 && budget > 0) {
+  // Still starved? Take slots away from the largest job.
+  evict_paced(head_pending, max_preemptions_per_heartbeat_, [&] {
     JobId fattest;
     Bytes fattest_size = 0;
     std::vector<EvictionCandidate> pool;
@@ -85,47 +66,30 @@ std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {
       if (jid == head) continue;
       const Bytes size = remaining_size(jid);
       if (size <= fattest_size) continue;
-      std::vector<EvictionCandidate> candidates = collect_candidates(*jt_, jid);
-      candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                      [&refused](const EvictionCandidate& c) {
-                                        return std::find(refused.begin(), refused.end(),
-                                                         c.task) != refused.end();
-                                      }),
-                       candidates.end());
-      if (candidates.empty()) continue;
+      std::vector<EvictionCandidate> more = candidates(jid);
+      if (more.empty()) continue;
       fattest = jid;
       fattest_size = size;
-      pool = std::move(candidates);
+      pool = std::move(more);
     }
-    if (!fattest.valid()) break;
-    const TaskId victim = pick_victim(options_.eviction, pool);
-    if (!victim.valid()) break;
-    OSAP_LOG(Info, kLog) << "preempting " << victim << " of job " << fattest << " for head job "
-                         << head;
-    if (policy_->preempt(victim).issued) {
-      ++preemptions_;
-      --head_pending;
-      --budget;
-    } else {
-      refused.push_back(victim);
+    const TaskId victim = pick_victim(kEviction, pool);
+    if (victim.valid()) {
+      OSAP_LOG(Info, kLog) << "preempting " << victim << " of job " << fattest
+                           << " for head job " << head;
     }
-  }
+    return victim;
+  });
 
   // Leftover slots go to the remaining jobs, smallest first. Only jobs
   // with a non-empty unassigned pool can take one; skipping the rest
   // skips exactly the iterations the old running-jobs walk wasted.
-  while (free_maps > 0 || free_reduces > 0) {
+  while (slots.any()) {
     bool assigned = false;
     for (JobId jid : jt_->schedulable_jobs()) {
-      const Job& job = jt_->job(jid);
-      for (TaskId tid : job.unassigned) {
-        const Task& task = jt_->task(tid);
+      for (TaskId tid : jt_->job(jid).unassigned) {
         if (std::find(out.begin(), out.end(), tid) != out.end()) continue;
-        if (task.spec.preferred_node.valid() && task.spec.preferred_node != status.node) continue;
-        int& budget = task.spec.type == TaskType::Map ? free_maps : free_reduces;
-        if (budget <= 0) continue;
+        if (slots.take(jt_->task(tid)) != Fit::Taken) continue;
         out.push_back(tid);
-        --budget;
         assigned = true;
         break;
       }

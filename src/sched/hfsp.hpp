@@ -6,24 +6,21 @@
 // slots. When a smaller job arrives and the slots are busy, the running
 // tasks of the largest job are preempted with the configured primitive,
 // and resumed once the small job is out of the way — exactly the pattern
-// that makes a work-preserving, low-latency primitive valuable.
+// that makes a work-preserving, low-latency primitive valuable. Victims
+// are the tasks closest to completion (Natjam's intuition, §V-A), which
+// keeps the victim job's tasks bunched.
 #pragma once
 
-#include <optional>
-
-#include "policy/policy.hpp"
-#include "preempt/eviction.hpp"
-#include "preempt/resume_locality.hpp"
-#include "hadoop/scheduler.hpp"
+#include "sched/preempting.hpp"
 
 namespace osap {
 
-class HfspScheduler : public Scheduler {
+class HfspScheduler : public PreemptingScheduler {
  public:
+  static constexpr EvictionPolicy kEviction = EvictionPolicy::MostProgress;
+
   struct Options {
     PreemptPrimitive primitive = PreemptPrimitive::Suspend;
-    EvictionPolicy eviction = EvictionPolicy::MostProgress;
-    Duration resume_locality_threshold = seconds(30);
     /// At most this many preemptions per heartbeat (paced, so a burst of
     /// small jobs doesn't thrash suspend/resume cycles — §III-A's note
     /// that schedulers should avoid paying the cycle cost too often).
@@ -32,23 +29,20 @@ class HfspScheduler : public Scheduler {
     policy::PolicyOptions policy;
   };
 
-  HfspScheduler() : options_(Options{}) {}
-  explicit HfspScheduler(Options options) : options_(options) {}
+  HfspScheduler() : HfspScheduler(Options{}) {}
+  explicit HfspScheduler(Options options)
+      : PreemptingScheduler(options.primitive, options.policy),
+        max_preemptions_per_heartbeat_(options.max_preemptions_per_heartbeat) {}
 
   std::vector<TaskId> assign(const TrackerStatus& status) override;
 
   /// Remaining virtual size (bytes of unprocessed input) of a job.
   [[nodiscard]] Bytes remaining_size(JobId id) const;
-  [[nodiscard]] int preemptions_issued() const noexcept { return preemptions_; }
 
  private:
-  void attached() override;
   [[nodiscard]] JobId head_job() const;
 
-  Options options_;
-  std::optional<policy::PreemptionPolicy> policy_;
-  std::optional<ResumeLocalityPolicy> resume_policy_;
-  int preemptions_ = 0;
+  int max_preemptions_per_heartbeat_;
 };
 
 }  // namespace osap

@@ -147,6 +147,14 @@ TEST(RunFacade, NumericAxesRejectWhatTheyCannotReadExactly) {
   }
 }
 
+TEST(RunFacade, UnknownSchedulerFailsItsCellNamingTheKnownOnes) {
+  const ResultRecord rec =
+      run_descriptor(RunDescriptor::parse("workload=trace;scheduler=lottery"));
+  EXPECT_FALSE(rec.ok);
+  EXPECT_NE(rec.error.find("'lottery'"), std::string::npos) << rec.error;
+  EXPECT_NE(rec.error.find(kSchedulerNames), std::string::npos) << rec.error;
+}
+
 TEST(RunFacade, TraceWorkloadReplaysBitIdentically) {
   const RunDescriptor d = RunDescriptor::parse("workload=trace;jobs=8;seed=7");
   const ResultRecord a = run_descriptor(d);

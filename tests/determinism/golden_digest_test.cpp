@@ -79,6 +79,9 @@ TEST(GoldenDigest, HfspSpeculationSkipsATaskWhosePrimaryIsBeingKilled) {
 // swap probe off and on. A 2 GiB state on half the jobs and a 0.05
 // watermark make demotion change the susp digest under fair and
 // deadline; the last row pins capacity's per-queue `preempt=` merge.
+// The wait and requeue rows were captured before the four schedulers'
+// preemption machinery moved into one shared core. No trace job is
+// pinned to a node, so requeue runs as kill and shares its digest.
 TEST(GoldenDigest, EvictionPaths) {
   const std::string base =
       "workload=trace;jobs=16;nodes=4;state=2GiB;stateful=0.5;swap_watermark=0.05;"
@@ -90,30 +93,46 @@ TEST(GoldenDigest, EvictionPaths) {
     std::uint64_t digest;
   };
   const Cell cells[] = {
+      {"fair", "wait", "off", 0xd8b9c6b75a867fb1ull},
+      {"fair", "wait", "primitive", 0xd8b9c6b75a867fb1ull},
       {"fair", "kill", "off", 0x7b979bf7a858569bull},
       {"fair", "kill", "primitive", 0x7b979bf7a858569bull},
       {"fair", "susp", "off", 0x67ab31cb3119c33cull},
       {"fair", "susp", "primitive", 0x7e8cb833cec33edcull},
       {"fair", "natjam", "off", 0x78414f032e14d645ull},
       {"fair", "natjam", "primitive", 0x78414f032e14d645ull},
+      {"fair", "requeue", "off", 0x7b979bf7a858569bull},
+      {"fair", "requeue", "primitive", 0x7b979bf7a858569bull},
+      {"capacity", "wait", "off", 0x32f9ac73673bffc7ull},
+      {"capacity", "wait", "primitive", 0x32f9ac73673bffc7ull},
       {"capacity", "kill", "off", 0xe4e0410173e0c5bfull},
       {"capacity", "kill", "primitive", 0xe4e0410173e0c5bfull},
       {"capacity", "susp", "off", 0xe9d43b7b6c9cb093ull},
       {"capacity", "susp", "primitive", 0xe9d43b7b6c9cb093ull},
       {"capacity", "natjam", "off", 0xfd38dfb0142787c8ull},
       {"capacity", "natjam", "primitive", 0xfd38dfb0142787c8ull},
+      {"capacity", "requeue", "off", 0xe4e0410173e0c5bfull},
+      {"capacity", "requeue", "primitive", 0xe4e0410173e0c5bfull},
+      {"hfsp", "wait", "off", 0xfc2eb39dff6e8ca8ull},
+      {"hfsp", "wait", "primitive", 0xfc2eb39dff6e8ca8ull},
       {"hfsp", "kill", "off", 0x22ca77d35350b708ull},
       {"hfsp", "kill", "primitive", 0x22ca77d35350b708ull},
       {"hfsp", "susp", "off", 0xdc18bda20a5a47b7ull},
       {"hfsp", "susp", "primitive", 0xdc18bda20a5a47b7ull},
       {"hfsp", "natjam", "off", 0x5ff8a2669caf2691ull},
       {"hfsp", "natjam", "primitive", 0x5ff8a2669caf2691ull},
+      {"hfsp", "requeue", "off", 0x22ca77d35350b708ull},
+      {"hfsp", "requeue", "primitive", 0x22ca77d35350b708ull},
+      {"deadline", "wait", "off", 0x8390c0fabdaacdf7ull},
+      {"deadline", "wait", "primitive", 0x8390c0fabdaacdf7ull},
       {"deadline", "kill", "off", 0xb221f5754278b097ull},
       {"deadline", "kill", "primitive", 0xb221f5754278b097ull},
       {"deadline", "susp", "off", 0x699fdd8e9718eb99ull},
       {"deadline", "susp", "primitive", 0x7f9093539fc535d8ull},
       {"deadline", "natjam", "off", 0x32d23f206919d3fcull},
       {"deadline", "natjam", "primitive", 0x32d23f206919d3fcull},
+      {"deadline", "requeue", "off", 0xb221f5754278b097ull},
+      {"deadline", "requeue", "primitive", 0xb221f5754278b097ull},
   };
   for (const Cell& c : cells) {
     const std::string desc = base + "queues=prod:0.5|batch:0.5;scheduler=" + c.scheduler +

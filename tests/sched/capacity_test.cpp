@@ -11,9 +11,8 @@
 namespace osap {
 namespace {
 
-CapacityScheduler::Options two_queue_options(int slots = 2) {
+CapacityScheduler::Options two_queue_options() {
   CapacityScheduler::Options options;
-  options.cluster_map_slots = slots;
   options.queues = {{"prod", 0.5}, {"research", 0.5}};
   options.preemption_timeout = seconds(10);
   options.primitive = PreemptPrimitive::Suspend;
@@ -114,7 +113,6 @@ ReclaimEvents reclaim_guarantee(const std::string& donor, const std::string& cla
   cfg.hadoop.map_slots = 2;
   Cluster cluster(cfg);
   CapacityScheduler::Options options;
-  options.cluster_map_slots = 2;
   options.queues = {{"prod", 0.5, "susp"}, {"research", 0.5, "kill"}};
   options.preemption_timeout = seconds(10);
   auto sched = std::make_unique<CapacityScheduler>(options);
@@ -159,7 +157,6 @@ TEST(Capacity, PerQueuePreemptModeSelectsThePrimitive) {
 
 TEST(Capacity, GuaranteedSlotsFloorAtOne) {
   CapacityScheduler::Options options;
-  options.cluster_map_slots = 4;
   options.queues = {{"small", 0.1}, {"big", 0.9}};
   ClusterConfig cfg = paper_cluster();
   cfg.hadoop.map_slots = 4;

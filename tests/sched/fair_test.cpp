@@ -13,7 +13,6 @@ TEST(Fair, StarvedJobTriggersPreemption) {
   ClusterConfig cfg = paper_cluster();
   Cluster cluster(cfg);
   FairScheduler::Options options;
-  options.cluster_map_slots = 1;
   options.preemption_timeout = seconds(10);
   options.primitive = PreemptPrimitive::Suspend;
   auto sched = std::make_unique<FairScheduler>(options);
@@ -40,7 +39,6 @@ TEST(Fair, NoPreemptionWhenSharesSatisfied) {
   cfg.hadoop.map_slots = 2;
   Cluster cluster(cfg);
   FairScheduler::Options options;
-  options.cluster_map_slots = 2;
   options.preemption_timeout = seconds(10);
   auto sched = std::make_unique<FairScheduler>(options);
   FairScheduler* fair = sched.get();
@@ -55,7 +53,6 @@ TEST(Fair, SuspendedVictimResumesAfterward) {
   ClusterConfig cfg = paper_cluster();
   Cluster cluster(cfg);
   FairScheduler::Options options;
-  options.cluster_map_slots = 1;
   options.preemption_timeout = seconds(10);
   auto sched = std::make_unique<FairScheduler>(options);
   cluster.set_scheduler(std::move(sched));

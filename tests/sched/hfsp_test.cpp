@@ -56,8 +56,8 @@ TEST(Hfsp, RefusedOrderDoesNotConsumePreemptionBudget) {
   cluster.set_scheduler(std::move(sched));
   JobTracker& jt = cluster.job_tracker();
 
-  // One big job spanning both nodes. Task 0 is shorter, so under the
-  // default MostProgress policy it is the first eviction pick.
+  // One big job spanning both nodes. Task 0 is shorter, so under HFSP's
+  // MostProgress order it is the first eviction pick.
   JobId big{}, tiny{};
   cluster.sim().at(0.05, [&] {
     JobSpec spec = single_task_job("big", 0, light_map_task(256 * MiB));

@@ -1,7 +1,7 @@
 // The observability subsystem (src/trace): tracer/counter/profiler units,
 // the golden Chrome-trace-JSON file for a two-job preemption run, the
 // paging-counter conservation law, dirty-flag audit sweep costs, and the
-// out-of-band maps-done latency cut.
+// one-hop maps-done push.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -349,10 +349,9 @@ TEST(TraceIntegration, DirtyFlaggingSkipsCleanAuditSweeps) {
 
 /// Shuffle-barrier latency for a reduce on a different node than the last
 /// map, measured by the maps_done_delivery span.
-double maps_done_latency(bool oob) {
+double maps_done_latency() {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 2;
-  cfg.hadoop.oob_maps_done = oob;
   cfg.trace.enabled = true;
   Rig rig(cfg);
   JobSpec job;
@@ -372,15 +371,11 @@ double maps_done_latency(bool oob) {
 }
 
 TEST(TraceIntegration, OobMapsDoneCutsShuffleBarrierLatency) {
-  const double pushed = maps_done_latency(/*oob=*/true);
-  const double piggybacked = maps_done_latency(/*oob=*/false);
-  // Both spans resolved (begin at last map success, end at barrier
-  // release on the reduce's node).
+  // The span resolved (begin at last map success, end at barrier release
+  // on the reduce's node) after one network hop, not a periodic
+  // heartbeat round trip.
+  const double pushed = maps_done_latency();
   ASSERT_GT(pushed, 0.0);
-  ASSERT_GT(piggybacked, 0.0);
-  // The push costs one network hop; piggybacking waits for the reduce
-  // node's next periodic heartbeat round trip.
-  EXPECT_LT(pushed, piggybacked);
   EXPECT_LT(pushed, 0.5);
 }
 

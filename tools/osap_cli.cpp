@@ -11,14 +11,17 @@
 //       Run a dummy-scheduler configuration file (§III-B) and report
 //       every job's outcome.
 //
-//   osap trace    [--scheduler fifo|fair|hfsp|capacity|deadline]
-//                 [--primitive susp] [--jobs 12] [--nodes 4] [--seed 7]
+//   osap trace    [--scheduler hfsp] [--primitive susp] [--jobs 12]
+//                 [--nodes 4] [--seed 7]
 //       A SWIM-like trace under the chosen scheduler. At the defaults
 //       this is the trace cell `osapd instrument "workload=trace"` runs,
 //       with the same event-trace digest.
 //
 // A primitive P is any spelling in kPrimitiveSpellings
-// (src/preempt/primitive.hpp); usage() prints the list.
+// (src/preempt/primitive.hpp), a scheduler any name in kSchedulerNames
+// (src/core/run.hpp); usage() prints both lists. Numeric flags
+// read exactly, as descriptor axes do: `--jobs 12.9` and `--r 0.5x` are
+// errors, and a 20-digit `--seed` is not rounded.
 //
 // `gantt`, `config` and `trace` also accept `--digest`: print the
 // simulation's event-trace FNV digest after the run. Two invocations with
@@ -45,14 +48,11 @@
 
 #include "common/error.hpp"
 
+#include "core/run.hpp"
 #include "fault/injector.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "metrics/timeline.hpp"
-#include "sched/capacity.hpp"
-#include "sched/deadline.hpp"
-#include "sched/fair.hpp"
-#include "sched/hfsp.hpp"
 #include "workload/dummy_config.hpp"
 #include "workload/swim.hpp"
 #include "workload/trace_file.hpp"
@@ -101,9 +101,13 @@ struct Args {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  [[nodiscard]] double num(const std::string& key, double fallback) const {
+  /// The flag's value read exactly by `parse` (a core::parse_* reader),
+  /// or `fallback` when the flag is absent.
+  template <typename T>
+  [[nodiscard]] T num(const std::string& key, T fallback,
+                      T (*parse)(const std::string&, std::string_view)) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback : parse(it->second, "flag --" + key);
   }
 };
 
@@ -120,11 +124,10 @@ void apply_trace_flags(const Args& args, ClusterConfig& cfg) {
 void apply_speculation_flags(const Args& args, ClusterConfig& cfg) {
   if (args.flags.contains("speculation")) cfg.hadoop.speculative_execution = true;
   cfg.hadoop.speculative_slowness =
-      args.num("spec-slowness", cfg.hadoop.speculative_slowness);
-  cfg.hadoop.speculative_cap =
-      static_cast<int>(args.num("spec-cap", cfg.hadoop.speculative_cap));
+      args.num("spec-slowness", cfg.hadoop.speculative_slowness, core::parse_real);
+  cfg.hadoop.speculative_cap = args.num("spec-cap", cfg.hadoop.speculative_cap, core::parse_count);
   cfg.hadoop.speculative_min_runtime =
-      args.num("spec-min-runtime", cfg.hadoop.speculative_min_runtime);
+      args.num("spec-min-runtime", cfg.hadoop.speculative_min_runtime, core::parse_real);
 }
 
 /// Build the injector for `--faults=<file>`, or nullptr without the flag.
@@ -146,10 +149,10 @@ void maybe_print_digest(const Args& args, const Cluster& cluster) {
 TwoJobParams params_from(const Args& args) {
   TwoJobParams params;
   params.primitive = parse_primitive(args.get("primitive", "susp"));
-  params.progress_at_launch = args.num("r", 0.5);
+  params.progress_at_launch = args.num("r", 0.5, core::parse_real);
   params.tl_state = parse_size(args.get("tl-state", "0"));
   params.th_state = parse_size(args.get("th-state", "0"));
-  params.seed = static_cast<std::uint64_t>(args.num("seed", 42));
+  params.seed = args.num<std::uint64_t>("seed", 42, core::parse_seed);
   return params;
 }
 
@@ -175,7 +178,7 @@ int cmd_gantt(const Args& args) {
   ds.on_complete("th", [&ds, primitive] { ds.restore("tl", 0, primitive); });
   const auto faults = maybe_inject_faults(args, cluster);
   cluster.run();
-  std::printf("%s", recorder.render_gantt(args.num("cell", 3.0)).c_str());
+  std::printf("%s", recorder.render_gantt(args.num("cell", 3.0, core::parse_real)).c_str());
   maybe_print_digest(args, cluster);
   return 0;
 }
@@ -191,8 +194,8 @@ int cmd_config(const Args& args) {
     return 1;
   }
   ClusterConfig cfg = paper_cluster();
-  cfg.num_nodes = static_cast<int>(args.num("nodes", cfg.num_nodes));
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", cfg.seed));
+  cfg.num_nodes = args.num("nodes", cfg.num_nodes, core::parse_count);
+  cfg.seed = args.num("seed", cfg.seed, core::parse_seed);
   apply_trace_flags(args, cfg);
   apply_speculation_flags(args, cfg);
   Cluster cluster(cfg);
@@ -221,38 +224,14 @@ int cmd_config(const Args& args) {
 
 int cmd_trace(const Args& args) {
   ClusterConfig cfg = paper_cluster();
-  cfg.num_nodes = static_cast<int>(args.num("nodes", 4));
-  cfg.seed = static_cast<std::uint64_t>(args.num("seed", 7));
+  cfg.num_nodes = args.num("nodes", 4, core::parse_count);
+  cfg.seed = args.num<std::uint64_t>("seed", 7, core::parse_seed);
   apply_trace_flags(args, cfg);
   apply_speculation_flags(args, cfg);
   Cluster cluster(cfg);
   const PreemptPrimitive primitive = parse_primitive(args.get("primitive", "susp"));
   const std::string which = args.get("scheduler", "hfsp");
-  if (which == "hfsp") {
-    HfspScheduler::Options options;
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<HfspScheduler>(options));
-  } else if (which == "fair") {
-    FairScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<FairScheduler>(options));
-  } else if (which == "deadline") {
-    DeadlineScheduler::Options options;
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<DeadlineScheduler>(options));
-  } else if (which == "capacity") {
-    CapacityScheduler::Options options;
-    options.cluster_map_slots = cfg.num_nodes * cfg.hadoop.map_slots;
-    options.queues = {{"default", 1.0}};
-    options.primitive = primitive;
-    cluster.set_scheduler(std::make_unique<CapacityScheduler>(options));
-  } else if (which == "fifo") {
-    cluster.set_scheduler(std::make_unique<FifoScheduler>());
-  } else {
-    std::fprintf(stderr, "unknown scheduler '%s'\n", which.c_str());
-    return 1;
-  }
+  cluster.set_scheduler(core::make_scheduler(which, primitive));
 
   std::vector<SwimJob> trace;
   if (args.flags.contains("file")) {
@@ -264,7 +243,7 @@ int cmd_trace(const Args& args) {
     trace = load_trace_file(in);
   } else {
     SwimConfig swim;
-    swim.jobs = static_cast<int>(args.num("jobs", 12));
+    swim.jobs = args.num("jobs", 12, core::parse_count);
     Rng rng(cfg.seed);
     trace = generate_swim_trace(swim, rng);
   }
@@ -294,7 +273,7 @@ int usage() {
                "  gantt    --primitive P  --r 0.5  --tl-state SZ  --th-state SZ\n"
                "           --seed 42  --cell 3.0  + common flags\n"
                "  config   <file>  --nodes 1  --seed 1  + common flags\n"
-               "  trace    --scheduler fifo|fair|hfsp|capacity|deadline  --primitive P\n"
+               "  trace    --scheduler %s  --primitive P\n"
                "           --jobs 12  --nodes 4  --seed 7  --file trace.txt  + common flags\n"
                "\n"
                "common flags (gantt, config, trace):\n"
@@ -307,7 +286,7 @@ int usage() {
                "\n"
                "primitives P: %s\n"
                "flags take --key value or --key=value; unknown flags are an error\n",
-               kPrimitiveSpellings);
+               core::kSchedulerNames, kPrimitiveSpellings);
   return 1;
 }
 
