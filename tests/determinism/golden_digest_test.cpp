@@ -60,6 +60,26 @@ TEST(GoldenDigest, HfspSpeculationContention) {
   EXPECT_GT(stats.speculative_launches, 0);
 }
 
+// Captured before the TaskTracker's attempt table became an ordered map:
+// the crash teardown walks it in task-id order and meets a parked attempt
+// (SIGKILLed) and one in kill cleanup (retired without a signal). The
+// flags guard the golden's reach.
+TEST(GoldenDigest, CrashTearsDownParkedAndCleanupAttempts) {
+  CrashTeardownStats stats;
+  EXPECT_EQ(run_crash_mid_cleanup(3, false, &stats), 0x3c7a33d30bac67c8ull);
+  EXPECT_TRUE(stats.parked);
+  EXPECT_TRUE(stats.in_cleanup);
+}
+
+// Captured before the kernel's process table became an ordered map: the
+// OOM killer's badness tie between two equal resident sets goes to the
+// lower pid, the first one spawned.
+TEST(GoldenDigest, OomTieGoesToTheLowestPid) {
+  std::string victim;
+  EXPECT_EQ(run_oom_tie(&victim), 0xc5205773f7af10cdull);
+  EXPECT_EQ(victim, "twin0");
+}
+
 // At these seeds resume locality gives up on a parked attempt and queues
 // its kill while the task still looks like a straggler. A backup copy
 // launched then would still be bound when the kill's ack requeues the

@@ -310,6 +310,91 @@ inline std::uint64_t run_hfsp_speculation(std::uint64_t seed, bool tracing = fal
   return cluster.trace_digest();
 }
 
+/// What the crash-teardown run found on the crashed tracker at the crash
+/// instant.
+struct CrashTeardownStats {
+  bool parked = false;      ///< the suspended task's attempt is SIGTSTP-parked
+  bool in_cleanup = false;  ///< the killed task's attempt is in kill cleanup
+};
+
+/// A node crash that lands while its tracker hosts a SIGTSTP-parked
+/// attempt and another attempt in kill cleanup: the crash teardown must
+/// SIGKILL the first and retire the second (whose process is already
+/// gone), in task-id order. Lease expiry then requeues both tasks onto
+/// the surviving node.
+inline std::uint64_t run_crash_mid_cleanup(std::uint64_t seed, bool tracing = false,
+                                           CrashTeardownStats* stats = nullptr) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.num_nodes = 2;
+  cfg.hadoop.map_slots = 2;
+  cfg.hadoop.tracker_expiry = seconds(9);
+  cfg.hadoop.expiry_check_interval = seconds(1);
+  cfg.seed = seed;
+  cfg.trace.enabled = tracing;
+  Cluster cluster(cfg);
+  auto sched = std::make_unique<DummyScheduler>(cluster);
+  DummyScheduler& ds = *sched;
+  cluster.set_scheduler(std::move(sched));
+  Rng rng(seed);
+  const char* const names[] = {"parked", "killed", "filler"};
+  for (int i = 0; i < 3; ++i) {
+    TaskSpec spec = jitter_task(light_map_task(256 * MiB), rng);
+    spec.preferred_node = cluster.node(0);
+    cluster.submit_at(0.05 + 0.01 * i, single_task_job(names[i], 0, spec));
+  }
+  ds.at_progress("parked", 0, 0.3,
+                 [&ds] { ds.preempt("parked", 0, PreemptPrimitive::Suspend); });
+  ds.at_progress("killed", 0, 0.5, [&ds] { ds.preempt("killed", 0, PreemptPrimitive::Kill); });
+  // Scheduled ahead of the injector's crash at the same instant, so it
+  // sees the tracker as the teardown will find it.
+  constexpr SimTime kCrashAt = 26.0;
+  if (stats != nullptr) {
+    cluster.sim().at(kCrashAt, [&cluster, &ds, stats] {
+      const TaskTracker& tt = cluster.tracker(cluster.node(0));
+      const Kernel& kernel = cluster.kernel(cluster.node(0));
+      const Process* parked = kernel.find(tt.attempt_pid(ds.task_of("parked", 0)));
+      stats->parked = parked != nullptr && parked->state() == ProcState::Stopped;
+      const TaskId killed = ds.task_of("killed", 0);
+      stats->in_cleanup = tt.hosts_task(killed) && !kernel.alive(tt.attempt_pid(killed));
+    });
+  }
+  fault::FaultInjector injector(cluster, fault::parse_fault_plan("crash 26 0\n"));
+  cluster.run_until(3000.0);
+  EXPECT_TRUE(cluster.job_tracker().all_jobs_done());
+  return cluster.trace_digest();
+}
+
+/// Two processes of equal resident size on a swapless node, then a third
+/// whose allocation cannot be met: the OOM killer's badness tie between
+/// the first two must go to the lower pid. `victim` receives the name of
+/// the process the killer chose.
+inline std::uint64_t run_oom_tie(std::string* victim = nullptr) {
+  OsConfig cfg;
+  cfg.ram = 1024 * MiB;
+  cfg.os_reserved = 0;
+  cfg.swap_size = 0;
+  cfg.lru_approx_error = 0;
+  cfg.vm_chunk = 32 * MiB;
+  cfg.cores = 2;
+  Simulation sim;
+  Kernel kernel(sim, cfg, "n0");
+  const auto note = [victim](const char* name) {
+    return ProcessHooks{.on_exit = [victim, name](ExitInfo e) {
+      if (victim != nullptr && e.reason == ExitReason::OomKilled) *victim = name;
+    }};
+  };
+  for (const char* name : {"twin0", "twin1"}) {
+    kernel.spawn(ProgramBuilder(name).alloc("heap", 400 * MiB).compute(20.0).build(),
+                 note(name));
+  }
+  sim.at(5.0, [&kernel, &note] {
+    kernel.spawn(ProgramBuilder("late").alloc("heap", 400 * MiB).compute(1.0).build(),
+                 note("late"));
+  });
+  sim.run();
+  return sim.trace_digest();
+}
+
 /// A revocation storm: half the cluster is transient with short sampled
 /// lifetimes, each death preceded by a warning, and the manager rescues
 /// work Natjam-style (checkpoint on warning, evacuate, resume). The

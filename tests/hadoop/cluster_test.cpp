@@ -174,6 +174,59 @@ TEST(ClusterIntegration, SuspendedTaskCanStillBeKilled) {
   EXPECT_EQ(rig.cluster.job_tracker().task(job.tasks[0]).attempts_started, 2);
 }
 
+// The slot is what preemption buys (§III-B). A running attempt holds it,
+// SIGTSTP frees it, a SIGKILL landing on the parked attempt takes it back
+// for the cleanup attempt, and the cleanup's end frees it again before
+// the KilledAck reaches the JobTracker.
+TEST(ClusterIntegration, SlotFollowsTheAttemptThroughSuspendAndKill) {
+  Rig rig;  // one node, one map slot
+  TaskSpec spec = light_map_task();
+  spec.preferred_node = rig.cluster.node(0);
+  rig.cluster.submit_at(0.05, single_task_job("tl", 0, spec));
+  rig.ds->at_progress("tl", 0, 0.3,
+                      [&] { rig.ds->preempt("tl", 0, PreemptPrimitive::Suspend); });
+  const TaskTracker& tt = rig.cluster.tracker(rig.cluster.node(0));
+  const Kernel& kernel = rig.cluster.kernel(rig.cluster.node(0));
+  JobTracker& jt = rig.cluster.job_tracker();
+  std::vector<std::string> steps;
+  const auto step = [&](const char* name, int free_slots, int parked) {
+    steps.emplace_back(name);
+    EXPECT_EQ(tt.free_map_slots(), free_slots) << name;
+    EXPECT_EQ(tt.suspended_tasks(), parked) << name;
+  };
+  rig.cluster.sim().at(20.0, [&] {
+    ASSERT_NE(kernel.find(tt.attempt_pid(rig.ds->task_of("tl", 0))), nullptr);
+    step("running", 0, 0);
+  });
+  bool killed = false;
+  jt.add_event_hook([&](const ClusterEvent& e) {
+    if (e.type == ClusterEventType::TaskSuspended) step("parked", 1, 1);
+    if (e.type == ClusterEventType::TaskKilled) {
+      killed = true;
+      EXPECT_FALSE(tt.hosts_task(e.task));
+      step("acked", 1, 0);
+    }
+  });
+  // Kill the parked attempt, then watch for its cleanup attempt: the
+  // process is gone but the tracker still hosts the task.
+  const auto watch_cleanup = [&](auto self) -> void {
+    const TaskId tid = rig.ds->task_of("tl", 0);
+    if (tt.hosts_task(tid) && !kernel.alive(tt.attempt_pid(tid))) {
+      step("cleanup", 0, 0);
+      return;
+    }
+    if (!killed) rig.cluster.sim().after(0.1, [self] { self(self); });
+  };
+  rig.cluster.sim().at(50.0, [&] {
+    EXPECT_TRUE(jt.kill_task(rig.ds->task_of("tl", 0)));
+    watch_cleanup(watch_cleanup);
+  });
+  rig.cluster.run();
+  EXPECT_EQ(steps, (std::vector<std::string>{"running", "parked", "cleanup", "acked"}));
+  EXPECT_EQ(jt.job(rig.ds->job_of("tl")).state, JobState::Succeeded);
+  EXPECT_EQ(tt.free_map_slots(), 1);
+}
+
 // Killing a parked task only queues the kill: the task stays Suspended
 // until its tracker reports the attempt dead. A resume in that window
 // would leave it MustResume with the kill in flight.
