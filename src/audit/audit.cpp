@@ -1,8 +1,8 @@
 #include "audit/audit.hpp"
 
-#include <algorithm>
-#include <cstddef>
 #include <sstream>
+
+#include "common/error.hpp"
 
 namespace osap {
 
@@ -21,23 +21,27 @@ std::string labelled(const std::string& label, const std::string& message) {
 
 void AuditRegistry::add(InvariantAuditor* auditor) {
   if (auditor == nullptr) return;
-  if (std::find(auditors_.begin(), auditors_.end(), auditor) != auditors_.end()) return;
+  OSAP_CHECK_MSG(auditor->audit_slot_ == InvariantAuditor::kUnregistered,
+                 "auditor '" << auditor->audit_label() << "' registered twice");
+  auditor->audit_slot_ = auditors_.size();
   auditors_.push_back(auditor);
   costs_.push_back(AuditorCost{auditor->audit_label(), 0, 0});
+  ++registered_;
 }
 
 void AuditRegistry::remove(InvariantAuditor* auditor) {
-  for (std::size_t i = 0; i < auditors_.size(); ++i) {
-    if (auditors_[i] != auditor) continue;
-    retired_costs_.push_back(std::move(costs_[i]));
-    auditors_.erase(auditors_.begin() + static_cast<std::ptrdiff_t>(i));
-    costs_.erase(costs_.begin() + static_cast<std::ptrdiff_t>(i));
-    return;
-  }
+  if (auditor == nullptr) return;
+  const std::size_t slot = auditor->audit_slot_;
+  if (slot >= auditors_.size() || auditors_[slot] != auditor) return;
+  auditors_[slot] = nullptr;
+  retired_costs_.push_back(std::move(costs_[slot]));
+  auditor->audit_slot_ = InvariantAuditor::kUnregistered;
+  --registered_;
 }
 
 void AuditRegistry::run(std::vector<std::string>& violations) const {
   for (const InvariantAuditor* auditor : auditors_) {
+    if (auditor == nullptr) continue;
     std::vector<std::string> found;
     auditor->audit(found);
     for (std::string& message : found) {
@@ -51,6 +55,7 @@ AuditRegistry::SweepStats AuditRegistry::sweep(std::vector<std::string>& violati
   SweepStats stats;
   for (std::size_t i = 0; i < auditors_.size(); ++i) {
     InvariantAuditor* auditor = auditors_[i];
+    if (auditor == nullptr) continue;
     if (auditor->audit_supports_dirty() && !auditor->audit_dirty()) {
       ++stats.skipped;
       ++costs_[i].skipped;
@@ -74,13 +79,16 @@ AuditRegistry::SweepStats AuditRegistry::sweep(std::vector<std::string>& violati
 
 std::vector<AuditRegistry::AuditorCost> AuditRegistry::costs() const {
   std::vector<AuditorCost> all = retired_costs_;
-  all.insert(all.end(), costs_.begin(), costs_.end());
+  for (std::size_t i = 0; i < auditors_.size(); ++i) {
+    if (auditors_[i] != nullptr) all.push_back(costs_[i]);
+  }
   return all;
 }
 
 std::string AuditRegistry::dump_all() const {
   std::ostringstream os;
   for (const InvariantAuditor* auditor : auditors_) {
+    if (auditor == nullptr) continue;
     os << "--- " << auditor->audit_label() << " ---\n";
     auditor->dump(os);
   }

@@ -15,6 +15,7 @@
 // AuditConfig.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -51,6 +52,10 @@ struct AuditConfig {
 /// destructor — the registry stores raw pointers).
 class InvariantAuditor {
  public:
+  InvariantAuditor() = default;
+  /// An auditor carries its registry slot, so it is never copied.
+  InvariantAuditor(const InvariantAuditor&) = delete;
+  InvariantAuditor& operator=(const InvariantAuditor&) = delete;
   virtual ~InvariantAuditor() = default;
 
   /// Instance label used in violation messages, e.g. "vmm(node0)".
@@ -83,12 +88,23 @@ class InvariantAuditor {
   void mark_audit_dirty() noexcept { audit_dirty_ = true; }
 
  private:
+  friend class AuditRegistry;
+  static constexpr std::size_t kUnregistered = ~std::size_t{0};
+
   bool audit_dirty_ = true;
+  /// This auditor's slot in the registry it joined, so removal is O(1).
+  std::size_t audit_slot_ = kUnregistered;
 };
 
+/// Auditors in registration order. Both add() and remove() are O(1): an
+/// auditor carries its slot, and a removed one leaves its slot empty for
+/// the walks to skip.
 class AuditRegistry {
  public:
+  /// Append `auditor`; registering one twice is a SimError.
   void add(InvariantAuditor* auditor);
+  /// Empty the auditor's slot and retire its cost row. A no-op for an
+  /// auditor not registered here.
   void remove(InvariantAuditor* auditor);
 
   /// Sweep every auditor, labelling each violation with its source.
@@ -119,14 +135,17 @@ class AuditRegistry {
   /// Every auditor's dump, concatenated.
   [[nodiscard]] std::string dump_all() const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return auditors_.size(); }
+  /// Registered auditors.
+  [[nodiscard]] std::size_t size() const noexcept { return registered_; }
 
  private:
+  /// Slots in registration order; nullptr where an auditor was removed.
   std::vector<InvariantAuditor*> auditors_;
   /// costs_[i] belongs to auditors_[i] while registered; on remove() the
   /// row is retired to retired_costs_ so measurements survive teardown.
   std::vector<AuditorCost> costs_;
   std::vector<AuditorCost> retired_costs_;
+  std::size_t registered_ = 0;
   std::uint64_t sweeps_ = 0;
 };
 

@@ -6,9 +6,10 @@
 // the hash seed and the insertion history, so any decision or output
 // derived from a range-for over an `unordered_map` can differ between
 // runs or toolchains. `osap-lint` (rule DET-1, see docs/LINT.md) bans
-// such traversals in the modeled layers; `det::sorted_keys()` is the
-// sanctioned replacement — snapshot the keys, sort them, and traverse the
-// container by key.
+// such traversals in the modeled layers. A table that is walked is an
+// ordered container keyed by its id (`std::map`/`std::set`, which order by
+// the ids' `operator<`) or a vector indexed by a dense id; hash maps stay
+// for lookups only.
 //
 // `det::Fnv1a` is the runtime witness for the same property: the
 // Simulation folds every fired event into an FNV-1a digest, and the
@@ -16,30 +17,10 @@
 // identical digests.
 #pragma once
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace osap::det {
-
-/// Snapshot a map/set's keys in sorted (operator<) order. O(n log n),
-/// intended for cold paths and bounded hot paths (victim selection,
-/// heartbeat assembly, audits, dumps) where a stable order matters more
-/// than the copy.
-template <typename Container>
-[[nodiscard]] std::vector<typename Container::key_type> sorted_keys(const Container& c) {
-  std::vector<typename Container::key_type> keys;
-  keys.reserve(c.size());
-  for (const auto& entry : c) {
-    if constexpr (requires { entry.first; }) {
-      keys.push_back(entry.first);
-    } else {
-      keys.push_back(entry);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 /// 64-bit FNV-1a accumulator. Folding in the (time, insertion sequence)
 /// pair of every fired event yields a digest of the entire event stream;

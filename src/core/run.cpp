@@ -1,11 +1,11 @@
 #include "core/run.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 
 #include "common/det.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "fault/injector.hpp"
@@ -18,7 +18,6 @@
 #include "sched/fifo.hpp"
 #include "sched/hfsp.hpp"
 #include "trace/names.hpp"
-#include "workload/dummy_config.hpp"
 #include "workload/swim.hpp"
 #include "workload/two_job.hpp"
 
@@ -88,24 +87,6 @@ const std::string& axis(const RunDescriptor& d, const char* key) {
   const std::string* v = d.find(key);
   OSAP_CHECK_MSG(v != nullptr, "descriptor lacks axis '" << key << "'");
   return *v;
-}
-
-[[noreturn]] void not_a(std::string_view label, const std::string& text, const char* kind) {
-  std::ostringstream msg;
-  msg << label << " is not " << kind << ": '" << text << "'";
-  throw SimError(msg.str());
-}
-
-/// Integers parse exactly: the whole text, in range, no detour through
-/// double (which rounds 20-digit seeds and truncates "12.9").
-template <typename Int>
-Int parse_integer(const std::string& text, std::string_view label, Int min, const char* kind) {
-  Int out{};
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc{} || end != text.data() + text.size() || out < min) {
-    not_a(label, text, kind);
-  }
-  return out;
 }
 
 /// What a descriptor axis's parse error calls it.
@@ -379,26 +360,6 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
 }
 
 }  // namespace
-
-double parse_real(const std::string& text, std::string_view label) {
-  std::size_t used = 0;
-  double out = 0;
-  try {
-    out = std::stod(text, &used);
-  } catch (const std::exception&) {
-    not_a(label, text, "numeric");
-  }
-  if (used != text.size()) not_a(label, text, "numeric");  // "0.5x" is a typo, not 0.5
-  return out;
-}
-
-std::uint64_t parse_seed(const std::string& text, std::string_view label) {
-  return parse_integer<std::uint64_t>(text, label, 0, "an unsigned 64-bit integer");
-}
-
-int parse_count(const std::string& text, std::string_view label) {
-  return parse_integer<int>(text, label, 1, "a positive integer");
-}
 
 std::unique_ptr<Scheduler> make_scheduler(
     std::string_view name, PreemptPrimitive primitive, const policy::PolicyOptions& policy,

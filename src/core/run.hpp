@@ -135,15 +135,6 @@ struct Axis {
 /// malformed value fails its run, with the key named in the error.
 [[nodiscard]] RunDescriptor normalize_descriptor(RunDescriptor d);
 
-/// Exact readers of numeric text, shared by the descriptor axes and the
-/// `osap` CLI's flags. Each reads the whole text: "12.9" is not a count,
-/// "0.5x" is not a real, and a 20-digit seed is not rounded through a
-/// double. Anything else throws SimError "<label> is not <kind>: '<text>'".
-[[nodiscard]] double parse_real(const std::string& text, std::string_view label);
-[[nodiscard]] std::uint64_t parse_seed(const std::string& text, std::string_view label);
-/// A positive int.
-[[nodiscard]] int parse_count(const std::string& text, std::string_view label);
-
 /// Every name make_scheduler accepts, as usage and error texts print it.
 inline constexpr const char* kSchedulerNames = "fifo|fair|hfsp|capacity|deadline";
 

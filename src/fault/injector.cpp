@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/det.hpp"
 #include "common/log.hpp"
 #include "trace/names.hpp"
 
@@ -48,7 +47,7 @@ void FaultInjector::arm() {
       ++crashes_fired_;
       ctr_crashes_->add();
       tracer_->instant(trk_, "node_crash", {{"node", f.node.value()}});
-      crashed_.emplace(f.node, true);
+      crashed_.insert(f.node);
       cluster_.tracker(f.node).crash();
     });
   }
@@ -91,7 +90,7 @@ void FaultInjector::arm() {
       ++revocations_fired_;
       ctr_revocations_->add();
       tracer_->instant(trk_, "node_revoked", {{"node", f.node.value()}});
-      crashed_.emplace(f.node, true);
+      crashed_.insert(f.node);
       cluster_.tracker(f.node).crash();
     });
   }
@@ -153,7 +152,7 @@ void FaultInjector::audit(std::vector<std::string>& violations) const {
     flag(crashed_.size(), " crashed nodes but ", crashes_fired_ + revocations_fired_,
          " node-death faults fired");
   }
-  for (NodeId node : det::sorted_keys(crashed_)) {
+  for (NodeId node : crashed_) {
     if (!cluster_.tracker(node).crashed()) {
       flag("node", node.value(), " crash fired but its tracker is not crashed");
     }
@@ -164,7 +163,7 @@ void FaultInjector::dump(std::ostream& os) const {
   os << plan_.size() << " planned faults; fired: " << crashes_fired_ << " crashes, "
      << hangs_fired_ << " hangs, " << checkpoint_losses_fired_ << " checkpoint losses, "
      << warnings_fired_ << " warnings, " << revocations_fired_ << " revocations\n";
-  for (NodeId node : det::sorted_keys(crashed_)) {
+  for (NodeId node : crashed_) {
     os << "  node" << node.value() << " crashed\n";
   }
 }

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <set>
 
 #include "audit/audit.hpp"
 #include "fault/fault.hpp"
@@ -58,9 +58,8 @@ class FaultInjector final : public InvariantAuditor {
   Cluster& cluster_;
   FaultPlan plan_;
   NodeId master_;
-  /// Nodes whose crash fault has fired (value unused; map keeps the
-  /// det::sorted_keys idiom available for dumps).
-  std::unordered_map<NodeId, bool> crashed_;
+  /// Nodes whose crash fault has fired, in id order for audits and dumps.
+  std::set<NodeId> crashed_;
   std::uint64_t crashes_fired_ = 0;
   std::uint64_t hangs_fired_ = 0;
   std::uint64_t checkpoint_losses_fired_ = 0;

@@ -38,7 +38,6 @@ struct TrackerStatus {
   NodeId node;
   int free_map_slots = 0;
   int free_reduce_slots = 0;
-  int suspended_tasks = 0;
   std::vector<TaskStatusReport> reports;
 };
 

@@ -15,7 +15,6 @@ namespace osap {
 enum class JobState {
   Running,
   Succeeded,
-  Killed,
   /// Terminal failure: a task exhausted its attempt budget, or the
   /// cluster ran out of usable trackers. Schedulers skip non-Running
   /// jobs, so a Failed job schedules nothing further.

@@ -92,8 +92,8 @@ JobTracker::~JobTracker() {
 
 void JobTracker::register_tracker(TaskTracker& tracker) {
   const auto idx = static_cast<std::uint32_t>(tracker_slots_.size());
-  const bool inserted = tracker_index_.emplace(tracker.id(), idx).second;
-  OSAP_CHECK_MSG(inserted, tracker.id() << " registered twice");
+  OSAP_CHECK_MSG(tracker.id().value() == idx,
+                 tracker.id() << " registered out of order: tracker ids are dense, from 0");
   TrackerSlot slot;
   slot.tracker = &tracker;
   slot.id = tracker.id();
@@ -901,7 +901,7 @@ void JobTracker::declare_lost(TrackerId id) {
   // Forfeit racing backup attempts hosted on the dead tracker: the race
   // dissolves and the primary attempt carries on, budget untouched.
   // (Tracker loss is rare, so these remain full sweeps — the deque walks
-  // tasks in ascending id, the old det::sorted_keys order.)
+  // tasks in ascending id.)
   for (Task& t : tasks_) {
     if (t.spec_tracker != id) continue;
     ctr_spec_lost_->add();

@@ -18,7 +18,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -101,11 +100,6 @@ class JobTracker final : public InvariantAuditor {
   /// already lost or already draining — a warning arriving after its node
   /// died (out-of-order plan) is a counted no-op, never a wedge.
   bool warn_revocation(TrackerId id);
-  /// True while a revocation warning is outstanding for the tracker.
-  [[nodiscard]] bool tracker_draining(TrackerId id) const {
-    const TrackerSlot* s = slot(id);
-    return s != nullptr && s->draining;
-  }
   /// Natjam checkpoint evacuation: rebind a checkpoint-parked task's saved
   /// fast-forward state to `target` (modeling the upload of its checkpoint
   /// files off the doomed node before it dies). Returns false unless the
@@ -196,9 +190,9 @@ class JobTracker final : public InvariantAuditor {
     bool sent = false;
     bool attempt_only = false;
   };
-  /// Flat per-tracker hot state, index-addressed in registration order
-  /// (docs/PERF.md). Everything a heartbeat or lease sweep touches lives
-  /// here in one cache line instead of four hash maps.
+  /// Flat per-tracker hot state, indexed by tracker id (docs/PERF.md).
+  /// Everything a heartbeat or lease sweep touches lives here in one
+  /// cache line instead of four hash maps.
   struct TrackerSlot {
     TaskTracker* tracker = nullptr;
     TrackerId id;
@@ -216,13 +210,13 @@ class JobTracker final : public InvariantAuditor {
     int failures = 0;
   };
 
+  /// The tracker's slot, or nullptr for an id never registered (the
+  /// invalid id included).
   [[nodiscard]] const TrackerSlot* slot(TrackerId id) const {
-    const auto it = tracker_index_.find(id);
-    return it == tracker_index_.end() ? nullptr : &tracker_slots_[it->second];
+    return id.value() < tracker_slots_.size() ? &tracker_slots_[id.value()] : nullptr;
   }
   [[nodiscard]] TrackerSlot* slot(TrackerId id) {
-    const auto it = tracker_index_.find(id);
-    return it == tracker_index_.end() ? nullptr : &tracker_slots_[it->second];
+    return id.value() < tracker_slots_.size() ? &tracker_slots_[id.value()] : nullptr;
   }
   [[nodiscard]] Job& job_ref(JobId id);
   /// The single choke point for task-state writes: transitions the state
@@ -313,10 +307,9 @@ class JobTracker final : public InvariantAuditor {
   /// the hooks.
   ProtocolAuditor protocol_audit_;
 
-  /// Tracker hot state, index-addressed in registration order; the id ->
-  /// index map is a lookup table only and is never iterated.
+  /// Tracker hot state, indexed by tracker id: trackers register with
+  /// dense ids in id order.
   std::vector<TrackerSlot> tracker_slots_;
-  std::unordered_map<TrackerId, std::uint32_t> tracker_index_;
   /// Jobs and tasks, indexed directly by their dense ids (ids are handed
   /// out sequentially from 0 and entries are never erased). A deque keeps
   /// references stable across growth.

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/det.hpp"
 #include "sim/simulation.hpp"
 
 namespace osap {
@@ -104,14 +103,12 @@ void ProtocolAuditor::audit(std::vector<std::string>& violations) const {
 
 void ProtocolAuditor::dump(std::ostream& os) const {
   std::size_t in_flight = 0;
-  const std::vector<TaskId> tids = det::sorted_keys(phase_by_task_);
-  for (TaskId tid : tids) {
-    if (phase_by_task_.at(tid) != Phase::None) ++in_flight;
+  for (const auto& [tid, phase] : phase_by_task_) {
+    if (phase != Phase::None) ++in_flight;
   }
   os << phase_by_task_.size() << " tasks observed, " << in_flight
      << " with a suspend/resume round trip in flight\n";
-  for (TaskId tid : tids) {
-    const Phase phase = phase_by_task_.at(tid);
+  for (const auto& [tid, phase] : phase_by_task_) {
     if (phase == Phase::None) continue;
     os << "  " << tid << ": " << phase_name(phase) << '\n';
   }

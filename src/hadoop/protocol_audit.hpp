@@ -12,6 +12,7 @@
 // the offending transition.
 #pragma once
 
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,7 +49,8 @@ class ProtocolAuditor final : public InvariantAuditor {
   [[nodiscard]] static const char* phase_name(Phase p) noexcept;
 
   Simulation& sim_;
-  std::unordered_map<TaskId, Phase> phase_by_task_;
+  /// Ordered by id: the dump walks it.
+  std::map<TaskId, Phase> phase_by_task_;
   /// Node of the attempt whose suspend round trip is in flight: a kill
   /// aimed at a *different* node reaps a speculative copy and must not
   /// void the original's round trip.

@@ -10,7 +10,6 @@ const char* to_string(TaskState s) noexcept {
     case TaskState::Suspended: return "SUSPENDED";
     case TaskState::MustResume: return "MUST_RESUME";
     case TaskState::Succeeded: return "SUCCEEDED";
-    case TaskState::Killed: return "KILLED";
     case TaskState::Failed: return "FAILED";
   }
   return "?";

@@ -26,7 +26,6 @@ enum class TaskState {
   Suspended,
   MustResume,   // resume requested; command not yet acknowledged
   Succeeded,
-  Killed,       // attempt killed; task may be rescheduled by the scheduler
   Failed,
 };
 

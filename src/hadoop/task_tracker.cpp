@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/det.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "hadoop/job_tracker.hpp"
@@ -43,12 +42,28 @@ void TaskTracker::connect(JobTracker& jt, NodeId master) {
   hb_timer_ = sim_.after(phase, [this] { heartbeat(); });
 }
 
+int TaskTracker::held_slots(TaskType type) const noexcept {
+  int held = 0;
+  for (const auto& [tid, task] : live_) {
+    if (task.type == type && !task.suspended) ++held;
+  }
+  return held;
+}
+
 int TaskTracker::free_map_slots() const noexcept {
-  return std::max(0, cfg_.map_slots - used_map_slots_);
+  return std::max(0, cfg_.map_slots - held_slots(TaskType::Map));
 }
 
 int TaskTracker::free_reduce_slots() const noexcept {
-  return std::max(0, cfg_.reduce_slots - used_reduce_slots_);
+  return std::max(0, cfg_.reduce_slots - held_slots(TaskType::Reduce));
+}
+
+int TaskTracker::suspended_tasks() const noexcept {
+  int parked = 0;
+  for (const auto& [tid, task] : live_) {
+    if (task.suspended) ++parked;
+  }
+  return parked;
 }
 
 Pid TaskTracker::attempt_pid(TaskId id) const {
@@ -82,13 +97,11 @@ void TaskTracker::send_status(bool out_of_band) {
   status.node = node_;
   status.free_map_slots = free_map_slots();
   status.free_reduce_slots = free_reduce_slots();
-  status.suspended_tasks = suspended_;
   status.reports = std::move(pending_reports_);
   pending_reports_.clear();
   // Reports travel to the JobTracker in task-id order: the scheduler acts
   // on them in arrival order, so this order is part of the event stream.
-  for (TaskId tid : det::sorted_keys(live_)) {
-    const LiveTask& task = live_.at(tid);
+  for (const auto& [tid, task] : live_) {
     if (task.in_cleanup) continue;
     TaskStatusReport report;
     report.task = tid;
@@ -169,30 +182,28 @@ void TaskTracker::reinit() {
 void TaskTracker::teardown_attempts(const char* outcome) {
   silent_teardown_ = true;
   teardown_outcome_ = outcome;
-  for (TaskId tid : det::sorted_keys(live_)) {
-    const auto it = live_.find(tid);
-    if (it == live_.end()) continue;
+  // Each pass retires the lowest-id attempt left, so teardown runs in
+  // task-id order.
+  while (!live_.empty()) {
+    const auto it = live_.begin();
+    const TaskId tid = it->first;
     LiveTask& task = it->second;
     if (task.helper.valid()) {
       kernel_.signal(task.helper, Signal::Kill);
       task.helper = Pid{};
     }
     if (task.in_cleanup) {
-      // The cleanup attempt's process is already gone; free the slot it
-      // was holding (its finish_cleanup timer finds nothing later).
-      if (task.type == TaskType::Map) {
-        --used_map_slots_;
-      } else {
-        --used_reduce_slots_;
-      }
+      // The cleanup attempt's process is already gone (its finish_cleanup
+      // timer finds nothing later).
       tracer_->async_end(trk_, "task", tid.value(), {{"outcome", outcome}});
       live_.erase(it);
       continue;
     }
     // SIGKILL works on running and stopped processes alike; on_exit runs
     // synchronously and takes the silent-teardown path in on_task_exit,
-    // which erases the entry and settles the slot accounting.
+    // which erases the entry.
     kernel_.signal(task.pid, Signal::Kill);
+    OSAP_CHECK_MSG(!live_.contains(tid), id_ << ": SIGKILL left " << tid << " hosted");
   }
   silent_teardown_ = false;
   teardown_outcome_ = "";
@@ -246,11 +257,6 @@ void TaskTracker::launch(const TaskAction& action) {
             .barrier("eof")
             .build());
   }
-  if (task.type == TaskType::Map) {
-    ++used_map_slots_;
-  } else {
-    ++used_reduce_slots_;
-  }
   task.pid = kernel_.spawn(
       build_task_program(action.spec),
       ProcessHooks{
@@ -263,15 +269,9 @@ void TaskTracker::launch(const TaskAction& action) {
                 // it for serialization; the slot stays busy until the
                 // state hits disk.
                 if (it->second.checkpointing) return;
-                it->second.suspended = true;
-                ++suspended_;
                 // The slot frees as soon as the process stops: this is
                 // what lets the high-priority task start immediately.
-                if (it->second.type == TaskType::Map) {
-                  --used_map_slots_;
-                } else {
-                  --used_reduce_slots_;
-                }
+                it->second.suspended = true;
                 queue_report(tid, ReportKind::Suspended);
                 if (cfg_.oob_on_suspend) send_status(true);
               },
@@ -280,12 +280,6 @@ void TaskTracker::launch(const TaskAction& action) {
                 auto it = live_.find(tid);
                 if (it == live_.end() || !it->second.suspended) return;
                 it->second.suspended = false;
-                --suspended_;
-                if (it->second.type == TaskType::Map) {
-                  ++used_map_slots_;
-                } else {
-                  ++used_reduce_slots_;
-                }
                 queue_report(tid, ReportKind::Resumed);
               },
       });
@@ -357,20 +351,6 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
     // a dead node reports nothing, and a reinitialized tracker's attempts
     // were already forfeited by the JobTracker.
     if (task.helper.valid()) kernel_.signal(task.helper, Signal::Kill);
-    if (task.suspended) {
-      --suspended_;
-      task.suspended = false;
-      if (task.type == TaskType::Map) {
-        ++used_map_slots_;
-      } else {
-        ++used_reduce_slots_;
-      }
-    }
-    if (task.type == TaskType::Map) {
-      --used_map_slots_;
-    } else {
-      --used_reduce_slots_;
-    }
     tracer_->async_end(trk_, "task", id.value(), {{"outcome", teardown_outcome_}});
     live_.erase(it);
     return;
@@ -380,23 +360,10 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
     kernel_.signal(task.helper, Signal::Kill);
     task.helper = Pid{};
   }
-  if (task.suspended) {
-    // Killed while parked: it held no slot, but the cleanup attempt needs
-    // one.
-    --suspended_;
-    task.suspended = false;
-    if (task.type == TaskType::Map) {
-      ++used_map_slots_;
-    } else {
-      ++used_reduce_slots_;
-    }
-  }
+  // Killed while parked: it held no slot, but the cleanup attempt needs
+  // one.
+  task.suspended = false;
   if (info.reason == ExitReason::Finished) {
-    if (task.type == TaskType::Map) {
-      --used_map_slots_;
-    } else {
-      --used_reduce_slots_;
-    }
     queue_report(id, ReportKind::Succeeded);
     tracer_->async_end(trk_, "task", id.value(), {{"outcome", "succeeded"}});
     live_.erase(it);
@@ -406,11 +373,6 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
   if (task.checkpointing) {
     // Natjam suspend complete: the JVM is gone, the checkpoint is on
     // disk. Report the saved progress so the relaunch can fast-forward.
-    if (task.type == TaskType::Map) {
-      --used_map_slots_;
-    } else {
-      --used_reduce_slots_;
-    }
     TaskStatusReport report;
     report.task = id;
     report.kind = ReportKind::Checkpointed;
@@ -432,11 +394,6 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
     return;
   }
   // Died without being asked to (OOM killer): report failure.
-  if (task.type == TaskType::Map) {
-    --used_map_slots_;
-  } else {
-    --used_reduce_slots_;
-  }
   queue_report(id, ReportKind::Failed);
   tracer_->async_end(trk_, "task", id.value(), {{"outcome", "failed"}});
   live_.erase(it);
@@ -446,11 +403,6 @@ void TaskTracker::on_task_exit(TaskId id, ExitInfo info) {
 void TaskTracker::finish_cleanup(TaskId id) {
   auto it = live_.find(id);
   if (it == live_.end()) return;
-  if (it->second.type == TaskType::Map) {
-    --used_map_slots_;
-  } else {
-    --used_reduce_slots_;
-  }
   queue_report(id, ReportKind::KilledAck);
   tracer_->async_end(trk_, "task", id.value(), {{"outcome", "killed"}});
   live_.erase(it);
@@ -486,25 +438,10 @@ void TaskTracker::audit(std::vector<std::string>& violations) const {
     (os << ... << parts);
     violations.push_back(os.str());
   };
-  if (crashed_ && (!live_.empty() || used_map_slots_ != 0 || used_reduce_slots_ != 0 ||
-                   suspended_ != 0)) {
-    flag("crashed tracker still hosts ", live_.size(), " attempts (map=", used_map_slots_,
-         " reduce=", used_reduce_slots_, " suspended=", suspended_, ")");
+  if (crashed_ && !live_.empty()) {
+    flag("crashed tracker still hosts ", live_.size(), " attempts");
   }
-  int map_slots = 0;
-  int reduce_slots = 0;
-  int suspended = 0;
-  for (TaskId tid : det::sorted_keys(live_)) {
-    const LiveTask& task = live_.at(tid);
-    if (task.suspended) {
-      ++suspended;
-    } else if (task.type == TaskType::Map) {
-      // Running, checkpointing and cleanup attempts all hold their slot;
-      // only a completed SIGTSTP frees it.
-      ++map_slots;
-    } else {
-      ++reduce_slots;
-    }
+  for (const auto& [tid, task] : live_) {
     const Process* p = kernel_.find(task.pid);
     if (task.in_cleanup) {
       if (p != nullptr) flag(tid, " is in cleanup but its process still exists");
@@ -516,31 +453,17 @@ void TaskTracker::audit(std::vector<std::string>& violations) const {
       flag(tid, " counted as suspended but its process is ", to_string(p->state()));
     }
   }
-  if (used_map_slots_ != map_slots) {
-    flag("used map slots ", used_map_slots_, " != ", map_slots, " slot-holding map tasks");
-  }
-  if (used_reduce_slots_ != reduce_slots) {
-    flag("used reduce slots ", used_reduce_slots_, " != ", reduce_slots,
-         " slot-holding reduce tasks");
-  }
-  if (suspended_ != suspended) {
-    flag("suspended counter ", suspended_, " != ", suspended, " suspended tasks");
-  }
-  if (used_map_slots_ < 0 || used_reduce_slots_ < 0 || suspended_ < 0) {
-    flag("negative counter: map=", used_map_slots_, " reduce=", used_reduce_slots_,
-         " suspended=", suspended_);
-  }
 }
 
 void TaskTracker::dump(std::ostream& os) const {
-  os << id_ << " on " << node_ << ": " << used_map_slots_ << "/" << cfg_.map_slots
-     << " map slots, " << used_reduce_slots_ << "/" << cfg_.reduce_slots << " reduce slots, "
-     << suspended_ << " suspended, " << live_.size() << " live tasks";
+  os << id_ << " on " << node_ << ": " << held_slots(TaskType::Map) << "/" << cfg_.map_slots
+     << " map slots, " << held_slots(TaskType::Reduce) << "/" << cfg_.reduce_slots
+     << " reduce slots, " << suspended_tasks() << " suspended, " << live_.size()
+     << " live tasks";
   if (crashed_) os << " [CRASHED]";
   if (hung_until_ > 0) os << " [hung until t=" << hung_until_ << "]";
   os << '\n';
-  for (TaskId tid : det::sorted_keys(live_)) {
-    const LiveTask& task = live_.at(tid);
+  for (const auto& [tid, task] : live_) {
     const Process* p = kernel_.find(task.pid);
     os << "  " << tid << ' ' << to_string(task.type) << " pid=" << task.pid << " proc="
        << (p == nullptr ? "<gone>" : to_string(p->state()));

@@ -6,7 +6,8 @@
 // releases its slot (that is the whole point of preemption) while its
 // memory stays behind for the VMM to manage. Kills run a cleanup attempt
 // that holds the slot briefly — the overhead the paper attributes to the
-// kill primitive.
+// kill primitive. The attempt table is the only record of slot use: free
+// slots and the parked count are read off it.
 //
 // Speculative backup attempts (docs/SPECULATION.md) need nothing special
 // here: a copy is the same TaskId launched on a different tracker, and all
@@ -17,7 +18,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -71,7 +72,8 @@ class TaskTracker final : public InvariantAuditor {
   [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }
   [[nodiscard]] int free_map_slots() const noexcept;
   [[nodiscard]] int free_reduce_slots() const noexcept;
-  [[nodiscard]] int suspended_tasks() const noexcept { return suspended_; }
+  /// Hosted attempts SIGTSTP has parked.
+  [[nodiscard]] int suspended_tasks() const noexcept;
 
   [[nodiscard]] bool hosts_task(TaskId id) const { return live_.contains(id); }
   /// Pid of the live attempt, if any (invalid otherwise).
@@ -81,15 +83,11 @@ class TaskTracker final : public InvariantAuditor {
 
   // --- invariant auditing ---------------------------------------------------
   [[nodiscard]] std::string audit_label() const override;
-  /// Audited invariants: slot counters equal the live-task census,
-  /// suspended census matches, and per-task process-state agreement
-  /// (suspended => process exists and is stopped; cleanup => process gone).
+  /// Audited invariants: a crashed tracker hosts nothing, and per-task
+  /// process-state agreement (suspended => process exists and is stopped;
+  /// cleanup => process gone).
   void audit(std::vector<std::string>& violations) const override;
   void dump(std::ostream& os) const override;
-
-  /// Testing-only fault injection: leak a map slot so the accounting
-  /// audit fires.
-  void testing_corrupt_slot_accounting() { ++used_map_slots_; }
 
  private:
   struct LiveTask {
@@ -98,7 +96,7 @@ class TaskTracker final : public InvariantAuditor {
     Pid pid;
     /// Hadoop Streaming helper process (§V-B), invalid for plain tasks.
     Pid helper;
-    bool suspended = false;        // SIGTSTP has taken effect
+    bool suspended = false;        // SIGTSTP has taken effect: the slot is free
     bool kill_requested = false;   // distinguishes kills from OOM deaths
     bool checkpointing = false;    // Natjam suspend in progress
     bool in_cleanup = false;
@@ -110,6 +108,9 @@ class TaskTracker final : public InvariantAuditor {
   void schedule_next_heartbeat();
   void send_status(bool out_of_band);
   void apply(const TaskAction& action);
+  /// Slots of `type` held by hosted attempts: running, checkpointing and
+  /// cleanup attempts hold theirs; only a completed SIGTSTP frees one.
+  [[nodiscard]] int held_slots(TaskType type) const noexcept;
 
   /// ReinitTracker action: the JobTracker expired our lease while we were
   /// alive; discard every hosted attempt silently and rejoin clean.
@@ -136,11 +137,10 @@ class TaskTracker final : public InvariantAuditor {
   JobTracker* jt_ = nullptr;
   NodeId master_;
 
-  std::unordered_map<TaskId, LiveTask> live_;
+  /// Hosted attempts by task id; heartbeat reports and teardown walk it
+  /// in id order.
+  std::map<TaskId, LiveTask> live_;
   std::vector<TaskStatusReport> pending_reports_;
-  int used_map_slots_ = 0;
-  int used_reduce_slots_ = 0;
-  int suspended_ = 0;
   EventId hb_timer_ = 0;
   bool crashed_ = false;
   /// Daemon hang window end (heartbeats suppressed until then).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/det.hpp"
 #include "common/error.hpp"
 
 namespace osap {
@@ -76,8 +75,7 @@ NodeId NameNode::pick_replica(BlockId id, NodeId reader) {
 
 std::size_t NameNode::re_replicate_away(NodeId doomed, const std::vector<NodeId>& targets) {
   std::size_t moved = 0;
-  for (BlockId bid : det::sorted_keys(blocks_)) {
-    BlockInfo& info = blocks_.at(bid);
+  for (auto& [bid, info] : blocks_) {
     for (NodeId& replica : info.replicas) {
       if (replica != doomed) continue;
       for (NodeId target : targets) {

@@ -8,6 +8,7 @@
 // resume-locality logic need.
 #pragma once
 
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,7 +50,6 @@ class NameNode {
 
   /// Register a storage node (a DataNode lives on it).
   void add_datanode(NodeId node);
-  [[nodiscard]] std::size_t datanode_count() const noexcept { return datanodes_.size(); }
 
   /// Create a file of `size` bytes; blocks are cut at block_size and
   /// replicas placed round-robin (first replica on `writer` when given,
@@ -82,7 +82,8 @@ class NameNode {
   Rng rng_;
   std::vector<NodeId> datanodes_;
   std::unordered_map<FileId, FileInfo> files_;
-  std::unordered_map<BlockId, BlockInfo> blocks_;
+  /// Ordered by id: re-replication walks it.
+  std::map<BlockId, BlockInfo> blocks_;
   IdGenerator<FileId> file_ids_;
   IdGenerator<BlockId> block_ids_;
   std::size_t placement_cursor_ = 0;

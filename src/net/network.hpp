@@ -43,7 +43,6 @@ class Network {
   Network(Simulation& sim, NetConfig cfg);
 
   void register_node(NodeId node);
-  [[nodiscard]] bool has_node(NodeId node) const { return downlinks_.contains(node); }
 
   /// Deliver a control message after the link latency.
   void send(NodeId from, NodeId to, std::function<void()> deliver);

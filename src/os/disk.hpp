@@ -41,19 +41,12 @@ class Disk {
   /// Abort a stream without completion (process killed).
   void cancel(StreamId id) { resource_.cancel(id); }
 
-  /// Extend an in-flight stream.
-  void extend(StreamId id, Bytes bytes) { resource_.add_demand(id, static_cast<double>(bytes)); }
-
   [[nodiscard]] double remaining(StreamId id) const { return resource_.remaining(id); }
   [[nodiscard]] double served(StreamId id) const { return resource_.served(id); }
 
-  [[nodiscard]] double utilization_window_bytes() const noexcept {
-    return resource_.total_served();
-  }
   [[nodiscard]] Bytes transferred(IoClass cls) const noexcept {
     return transferred_[static_cast<int>(cls)];
   }
-  [[nodiscard]] std::size_t active_streams() const noexcept { return resource_.active_count(); }
   [[nodiscard]] double bandwidth() const noexcept { return resource_.capacity(); }
 
  private:

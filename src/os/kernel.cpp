@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/det.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "trace/context.hpp"
@@ -48,7 +47,6 @@ Pid Kernel::spawn(Program program, ProcessHooks hooks) {
   const Pid pid = pids_.next();
   auto proc = std::make_unique<Process>(pid, std::move(program), std::move(hooks));
   proc->kernel_ = this;
-  proc->started_at_ = sim_.now();
   proc->total_weight_ = proc->program_.total_weight();
   vmm_.register_process(pid);
   Process* raw = proc.get();
@@ -147,7 +145,6 @@ void Kernel::terminate(Pid pid, ExitReason reason) {
   if (p->run_.sleep_timer != 0) sim_.cancel(p->run_.sleep_timer);
   vmm_.release_process(pid);
   p->state_ = ProcState::Zombie;
-  p->ended_at_ = sim_.now();
   tracer_->instant(trk_, "exit",
                    {{"pid", pid.value()},
                     {"reason", reason == ExitReason::Finished ? "finished" : "killed"}});
@@ -361,8 +358,8 @@ double Kernel::progress(Pid pid) const {
 }
 
 void Kernel::audit(std::vector<std::string>& violations) const {
-  for (Pid pid : det::sorted_keys(procs_)) {
-    const Process& p = *procs_.at(pid);
+  for (const auto& [pid, proc] : procs_) {
+    const Process& p = *proc;
     if (p.state_ == ProcState::Zombie) {
       std::ostringstream os;
       os << pid << " (" << p.name() << ") is a zombie in the process table";
@@ -392,8 +389,7 @@ void Kernel::audit(std::vector<std::string>& violations) const {
          << "' with " << p.run_.outstanding << " outstanding legs";
       violations.push_back(os.str());
     }
-    for (const std::string& rname : det::sorted_keys(p.regions_)) {
-      const RegionId rid = p.regions_.at(rname);
+    for (const auto& [rname, rid] : p.regions_) {
       if (!vmm_.has_region(rid)) {
         std::ostringstream os;
         os << pid << " (" << p.name() << ") region '" << rname << "' (" << rid
@@ -406,8 +402,8 @@ void Kernel::audit(std::vector<std::string>& violations) const {
 
 void Kernel::dump(std::ostream& os) const {
   os << procs_.size() << " processes\n";
-  for (Pid pid : det::sorted_keys(procs_)) {
-    const Process& p = *procs_.at(pid);
+  for (const auto& [pid, proc] : procs_) {
+    const Process& p = *proc;
     os << "  " << pid << " " << p.name() << " [" << to_string(p.state_) << "] phase "
        << p.phase_idx_ << "/" << p.program_.phases.size() << " progress "
        << progress(pid) << " outstanding " << p.run_.outstanding;
@@ -418,10 +414,10 @@ void Kernel::dump(std::ostream& os) const {
 
 void Kernel::handle_oom() {
   // Linux-like badness: kill the process holding the most memory; ties go
-  // to the lowest pid so victim choice never depends on hash order.
+  // to the lowest pid (the first in the table's order).
   Pid victim;
   Bytes worst = 0;
-  for (Pid pid : det::sorted_keys(procs_)) {
+  for (const auto& [pid, proc] : procs_) {
     const Bytes held = vmm_.resident(pid);
     if (held > worst) {
       worst = held;

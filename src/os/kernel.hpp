@@ -9,9 +9,9 @@
 // process down immediately, dropping its anonymous memory.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "audit/audit.hpp"
 #include "common/ids.hpp"
@@ -105,7 +105,7 @@ class Kernel final : public InvariantAuditor {
   FluidResource cpu_;
   Disk disk_;
   Vmm vmm_;
-  std::unordered_map<Pid, std::unique_ptr<Process>> procs_;
+  std::map<Pid, std::unique_ptr<Process>> procs_;
   IdGenerator<Pid> pids_;
 
   // --- observability (src/trace) -----------------------------------------

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -64,15 +64,6 @@ class Process {
   /// Weighted completion in [0,1] — Hadoop's task progress.
   [[nodiscard]] double progress() const noexcept;
 
-  /// Named memory regions of this process's address space.
-  [[nodiscard]] const std::unordered_map<std::string, RegionId>& regions() const noexcept {
-    return regions_;
-  }
-
-  // Lifetime statistics.
-  [[nodiscard]] SimTime started_at() const noexcept { return started_at_; }
-  [[nodiscard]] SimTime ended_at() const noexcept { return ended_at_; }
-
  private:
   friend class Kernel;
 
@@ -95,7 +86,7 @@ class Process {
   ProcState state_ = ProcState::Running;
   std::size_t phase_idx_ = 0;
   PhaseRun run_;
-  std::unordered_map<std::string, RegionId> regions_;
+  std::map<std::string, RegionId> regions_;
   /// Barriers already released by the kernel; a matching BarrierPhase
   /// falls through immediately (releases are level-triggered, not edges).
   std::vector<std::string> released_barriers_;
@@ -106,8 +97,6 @@ class Process {
   /// SIGCONT (or kill) arrives inside the handler window.
   std::uint64_t signal_gen_ = 0;
   Kernel* kernel_ = nullptr;  // set by Kernel::spawn
-  SimTime started_at_ = 0;
-  SimTime ended_at_ = -1;
   double total_weight_ = 0;
   double weight_done_ = 0;  // weight of completed phases
 };

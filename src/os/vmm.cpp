@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/det.hpp"
 #include "common/log.hpp"
 #include "sim/simulation.hpp"
 #include "trace/context.hpp"
@@ -327,8 +326,7 @@ Vmm::VictimPlan Vmm::select_victims(Bytes want, Pid requester) {
   };
   std::vector<Candidate> order;
   order.reserve(regions_.size());
-  for (RegionId rid : det::sorted_keys(regions_)) {
-    const Region& region = regions_.at(rid);
+  for (const auto& [rid, region] : regions_) {
     if (region.resident_clean + region.resident_dirty == 0) continue;
     const auto pit = procs_.find(region.pid);
     const bool stopped = pit != procs_.end() && pit->second.stopped;
@@ -529,8 +527,7 @@ bool Vmm::is_stopped(Pid pid) const {
 
 void Vmm::audit(std::vector<std::string>& violations) const {
   Bytes resident = 0, swapped = 0, clean = 0;
-  for (RegionId rid : det::sorted_keys(regions_)) {
-    const Region& r = regions_.at(rid);
+  for (const auto& [rid, r] : regions_) {
     resident += r.resident_clean + r.resident_dirty;
     swapped += r.swapped;
     clean += r.resident_clean;
@@ -580,8 +577,7 @@ void Vmm::audit(std::vector<std::string>& violations) const {
   // region's owner is registered and lists the region; every listed
   // region id resolves (or was erased from both sides together).
   std::size_t listed = 0;
-  for (Pid pid : det::sorted_keys(procs_)) {
-    const ProcInfo& info = procs_.at(pid);
+  for (const auto& [pid, info] : procs_) {
     for (RegionId rid : info.regions) {
       const auto rit = regions_.find(rid);
       if (rit == regions_.end()) continue;  // erased region ids are pruned lazily
@@ -606,8 +602,7 @@ void Vmm::dump(std::ostream& os) const {
      << ", in-flight " << format_bytes(held_) << ", swap " << format_bytes(swap_used_) << "/"
      << format_bytes(cfg_.swap_size) << ", " << regions_.size() << " regions, "
      << procs_.size() << " processes\n";
-  for (Pid pid : det::sorted_keys(procs_)) {
-    const ProcInfo& info = procs_.at(pid);
+  for (const auto& [pid, info] : procs_) {
     if (info.regions.empty()) continue;
     os << "  " << pid << (info.stopped ? " [stopped]" : "") << ":";
     for (RegionId rid : info.regions) {

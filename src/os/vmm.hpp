@@ -30,9 +30,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -120,9 +120,6 @@ class Vmm final : public InvariantAuditor {
   [[nodiscard]] Bytes region_swapped(RegionId rid) const;
   [[nodiscard]] bool has_region(RegionId rid) const { return regions_.contains(rid); }
   [[nodiscard]] bool is_stopped(Pid pid) const;
-  /// Frames detached from regions but not yet grantable (swap-out writes
-  /// in flight) or granted but not yet credited (swap-in reads in flight).
-  [[nodiscard]] Bytes held_in_flight() const noexcept { return held_; }
 
   // --- invariant auditing ---------------------------------------------------
   [[nodiscard]] std::string audit_label() const override { return name_; }
@@ -187,8 +184,9 @@ class Vmm final : public InvariantAuditor {
   Disk& disk_;
   const OsConfig cfg_;
   std::string name_;
-  std::unordered_map<Pid, ProcInfo> procs_;
-  std::unordered_map<RegionId, Region> regions_;
+  /// Ordered by id: victim selection, audits and dumps walk them.
+  std::map<Pid, ProcInfo> procs_;
+  std::map<RegionId, Region> regions_;
   IdGenerator<RegionId> region_ids_;
   Bytes free_;
   Bytes fs_cache_ = 0;

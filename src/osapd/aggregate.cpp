@@ -8,9 +8,9 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "osapd/expand.hpp"
 #include "osapd/record.hpp"
-#include "workload/dummy_config.hpp"
 
 namespace osap::osapd {
 

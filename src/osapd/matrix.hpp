@@ -17,9 +17,8 @@
 // the command line without editing the file.
 //
 // Axes live in a std::map, so every traversal — expansion, printing,
-// digesting — walks keys in sorted order (`det::sorted_keys` semantics):
-// the cell order is a pure function of the spec, never of insertion or
-// hash order.
+// digesting — walks keys in sorted order: the cell order is a pure
+// function of the spec, never of insertion or hash order.
 #pragma once
 
 #include <iosfwd>

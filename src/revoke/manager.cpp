@@ -73,7 +73,7 @@ void RevocationManager::on_warning(const fault::NodeRevocation& r, bool accepted
     return;
   }
   ctr_handled_->add();
-  doomed_.emplace(r.node, true);
+  doomed_.insert(r.node);
   if (reaction_ == Reaction::None) return;
 
   // Steer the doomed node's block replicas toward safe (on-demand-first)

@@ -20,8 +20,8 @@
 // is counted and dropped — the drain is moot, never wedged.
 #pragma once
 
+#include <set>
 #include <string>
-#include <unordered_map>
 
 #include "fault/injector.hpp"
 #include "policy/policy.hpp"
@@ -75,9 +75,8 @@ class RevocationManager {
   Reaction reaction_;
   policy::PreemptionPolicy policy_;
   TaskMigrator migrator_;
-  /// Nodes with an outstanding warning (value unused; keeps the
-  /// det::sorted_keys idiom available).
-  std::unordered_map<NodeId, bool> doomed_;
+  /// Nodes with an outstanding warning.
+  std::set<NodeId> doomed_;
   std::size_t target_cursor_ = 0;
 
   trace::Counter* ctr_handled_ = nullptr;

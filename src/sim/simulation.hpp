@@ -54,7 +54,6 @@ class Simulation {
   void run_until(SimTime t);
 
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
-  [[nodiscard]] std::size_t events_pending() const noexcept { return queue_.pending(); }
   /// FNV-1a digest of the executed event stream: every fired event's
   /// (time, insertion sequence) pair, in firing order. Two runs of the
   /// same scenario must produce identical digests — the runtime witness

@@ -1,22 +1,33 @@
 #include "workload/dummy_config.hpp"
 
-#include <cstdlib>
+#include <climits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "workload/profiles.hpp"
 
 namespace osap {
 
 namespace {
 
-[[noreturn]] void fail(int line, const std::string& message) {
+/// "dummy config line <line>: <what>" — an error, or the label a number
+/// reader's error gives the field.
+std::string at_line(int line, const std::string& what) {
   std::ostringstream os;
-  os << "dummy config line " << line << ": " << message;
-  throw SimError(os.str());
+  os << "dummy config line " << line << ": " << what;
+  return os.str();
+}
+
+[[noreturn]] void fail(int line, const std::string& message) {
+  throw SimError(at_line(line, message));
+}
+
+int parse_task_index(const std::string& token, int line) {
+  return parse_integer<int>(token, at_line(line, "task index"), 0, "a non-negative integer");
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -33,39 +44,14 @@ std::vector<std::string> tokenize(const std::string& line) {
 double parse_percent(const std::string& token, int line) {
   std::string digits = token;
   if (!digits.empty() && digits.back() == '%') digits.pop_back();
-  char* end = nullptr;
-  const double v = std::strtod(digits.c_str(), &end);
-  if (end == digits.c_str() || *end != '\0' || v <= 0 || v >= 100) {
+  const double v = parse_real(digits, at_line(line, "progress percentage"));
+  if (v <= 0 || v >= 100) {
     fail(line, "expected a progress percentage in (0,100), got '" + token + "'");
   }
   return v / 100.0;
 }
 
-double parse_double(const std::string& token, int line) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') fail(line, "expected a number, got '" + token + "'");
-  return v;
-}
-
-int parse_int(const std::string& token, int line) {
-  const double v = parse_double(token, line);
-  return static_cast<int>(v);
-}
-
 }  // namespace
-
-Bytes parse_size(const std::string& token) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || v < 0) throw SimError("bad size: " + token);
-  const std::string suffix(end);
-  if (suffix.empty() || suffix == "B") return static_cast<Bytes>(v);
-  if (suffix == "KiB") return static_cast<Bytes>(v * static_cast<double>(KiB));
-  if (suffix == "MiB") return static_cast<Bytes>(v * static_cast<double>(MiB));
-  if (suffix == "GiB") return static_cast<Bytes>(v * static_cast<double>(GiB));
-  throw SimError("bad size suffix in: " + token);
-}
 
 void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& cluster) {
   // Job definitions are collected first; submissions and triggers
@@ -92,9 +78,9 @@ void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& clu
         fail(lineno, "expected: job <name> priority <p> tasks <n> input <size> state <size>");
       }
       const std::string& name = t[1];
-      const int priority = parse_int(t[3], lineno);
-      const int tasks = parse_int(t[5], lineno);
-      if (tasks < 1) fail(lineno, "a job needs at least one task");
+      const int priority = parse_integer<int>(t[3], at_line(lineno, "priority"), INT_MIN,
+                                              "an integer");
+      const int tasks = parse_count(t[5], at_line(lineno, "task count"));
       const Bytes input = parse_size(t[7]);
       const Bytes state = parse_size(t[9]);
       JobSpec spec;
@@ -109,13 +95,13 @@ void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& clu
       // submit <name> at <t>
       if (t.size() != 4 || t[2] != "at") fail(lineno, "expected: submit <name> at <t>");
       const JobSpec spec = lookup(t[1], lineno);
-      cluster.submit_at(parse_double(t[3], lineno), spec);
+      cluster.submit_at(parse_real(t[3], at_line(lineno, "submit time")), spec);
 
     } else if (t[0] == "at-progress") {
       // at-progress <job> <idx> <r>% (submit <name> | preempt <job2> <idx2> <prim>)
       if (t.size() < 5) fail(lineno, "truncated at-progress trigger");
       const std::string watched = t[1];
-      const int index = parse_int(t[2], lineno);
+      const int index = parse_task_index(t[2], lineno);
       const double r = parse_percent(t[3], lineno);
       if (t[4] == "submit" && t.size() == 6) {
         const JobSpec spec = lookup(t[5], lineno);
@@ -123,7 +109,7 @@ void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& clu
         scheduler.at_progress(watched, index, r, [c, spec] { c->submit(spec); });
       } else if (t[4] == "preempt" && t.size() == 8) {
         const std::string victim = t[5];
-        const int vindex = parse_int(t[6], lineno);
+        const int vindex = parse_task_index(t[6], lineno);
         const PreemptPrimitive primitive = parse_primitive(t[7]);
         DummyScheduler* ds = &scheduler;
         scheduler.at_progress(watched, index, r, [ds, victim, vindex, primitive] {
@@ -139,7 +125,7 @@ void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& clu
       const std::string watched = t[1];
       if (t[2] == "restore" && t.size() == 6) {
         const std::string victim = t[3];
-        const int vindex = parse_int(t[4], lineno);
+        const int vindex = parse_task_index(t[4], lineno);
         const PreemptPrimitive primitive = parse_primitive(t[5]);
         DummyScheduler* ds = &scheduler;
         scheduler.on_complete(watched, [ds, victim, vindex, primitive] {

@@ -40,10 +40,9 @@
 namespace osap {
 
 /// Parse a dummy-scheduler configuration and install its jobs and
-/// triggers. Throws SimError with a line number on malformed input.
+/// triggers. Numbers are read exactly (src/common/parse.hpp): "tasks 1.9"
+/// is an error, not one task. Throws SimError with a line number on
+/// malformed input.
 void load_dummy_config(std::istream& in, DummyScheduler& scheduler, Cluster& cluster);
-
-/// Parse "512MiB" / "2GiB" / "64KiB" / "123B" / "0" into bytes.
-Bytes parse_size(const std::string& token);
 
 }  // namespace osap

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "workload/dummy_config.hpp"  // parse_size
+#include "common/parse.hpp"
 #include "workload/profiles.hpp"
 
 namespace osap {
@@ -19,22 +19,20 @@ std::vector<SwimJob> load_trace_file(std::istream& in, const TraceFileConfig& cf
     std::istringstream is(line);
     std::string name;
     if (!(is >> name) || name[0] == '#') continue;
-    std::string arrival_str, input_str, shuffle_str, output_str, state_str;
-    if (!(is >> arrival_str >> input_str >> shuffle_str >> output_str)) {
-      throw SimError("trace line " + std::to_string(lineno) +
-                     ": expected <name> <arrival> <input> <shuffle> <output> [state]");
+    std::string where = "trace line ";
+    where += std::to_string(lineno);
+    std::string arrival_str, input_str, shuffle_str, output_str, state_str, extra;
+    const bool short_line = !(is >> arrival_str >> input_str >> shuffle_str >> output_str);
+    // The state column is optional; nothing may follow it.
+    if (short_line || (is >> state_str >> extra)) {
+      throw SimError(where + ": expected <name> <arrival> <input> <shuffle> <output> [state]");
     }
-    is >> state_str;  // optional
 
     SwimJob job;
-    char* end = nullptr;
-    job.arrival = std::strtod(arrival_str.c_str(), &end);
-    if (end == arrival_str.c_str() || *end != '\0' || job.arrival < 0) {
-      throw SimError("trace line " + std::to_string(lineno) + ": bad arrival '" + arrival_str +
-                     "'");
-    }
+    job.arrival = parse_real(arrival_str, where + ": arrival");
+    if (job.arrival < 0) throw SimError(where + ": bad arrival '" + arrival_str + "'");
     if (job.arrival < last_arrival) {
-      throw SimError("trace line " + std::to_string(lineno) + ": arrivals must be sorted");
+      throw SimError(where + ": arrivals must be sorted");
     }
     last_arrival = job.arrival;
 

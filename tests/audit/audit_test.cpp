@@ -74,7 +74,6 @@ TEST(Registry, RunPrefixesLabelsAndDumpHasSections) {
   a.complaints.push_back("broken thing");
   reg.add(&a);
   reg.add(&b);
-  reg.add(&a);  // duplicate add is a no-op
   EXPECT_EQ(reg.size(), 2u);
   std::vector<std::string> violations;
   reg.run(violations);
@@ -85,6 +84,43 @@ TEST(Registry, RunPrefixesLabelsAndDumpHasSections) {
   EXPECT_NE(dump.find("state of beta"), std::string::npos);
   reg.remove(&a);
   EXPECT_EQ(reg.size(), 1u);
+}
+
+TEST(Registry, DoubleAddFails) {
+  AuditRegistry reg;
+  FakeAuditor a("alpha");
+  reg.add(&a);
+  EXPECT_THROW(reg.add(&a), SimError);
+  EXPECT_EQ(reg.size(), 1u);
+  reg.remove(&a);
+  reg.add(&a);  // a removed auditor may register again
+  EXPECT_EQ(reg.size(), 1u);
+}
+
+TEST(Registry, RemovingFromTheMiddleKeepsTheOthersInOrder) {
+  AuditRegistry reg;
+  FakeAuditor a("alpha");
+  FakeAuditor b("beta");
+  FakeAuditor c("gamma");
+  for (FakeAuditor* f : {&a, &b, &c}) {
+    f->complaints.push_back("broken");
+    reg.add(f);
+  }
+  reg.remove(&b);
+  reg.remove(&b);  // a second remove is a no-op
+  EXPECT_EQ(reg.size(), 2u);
+  std::vector<std::string> violations;
+  reg.sweep(violations);
+  EXPECT_EQ(violations, (std::vector<std::string>{"[alpha] broken", "[gamma] broken"}));
+  const std::string dump = reg.dump_all();
+  EXPECT_LT(dump.find("--- alpha ---"), dump.find("--- gamma ---"));
+  EXPECT_EQ(dump.find("--- beta ---"), std::string::npos);
+  // The retired row comes first, then the registered ones in order.
+  std::vector<std::string> rows;
+  for (const AuditRegistry::AuditorCost& cost : reg.costs()) {
+    rows.push_back(cost.label + ":" + std::to_string(cost.swept));
+  }
+  EXPECT_EQ(rows, (std::vector<std::string>{"beta:0", "alpha:1", "gamma:1"}));
 }
 
 TEST(Watchdog, ZeroDelayLivelockFailsFastWithDefaults) {
@@ -179,13 +215,6 @@ TEST(KernelAudit, StopFlagDisagreementFires) {
   sim.run_until(1.0);
   kernel.testing_corrupt_stop_state(pid);
   expect_audit_failure([&] { sim.audit_now(); }, {"VMM stopped flag", "--- node0 ---"});
-}
-
-TEST(TaskTrackerAudit, SlotLeakFires) {
-  Cluster cluster(paper_cluster());
-  cluster.tracker(cluster.node(0)).testing_corrupt_slot_accounting();
-  expect_audit_failure([&] { cluster.sim().audit_now(); },
-                       {"used map slots", "slot-holding map tasks"});
 }
 
 TEST(JobTrackerAudit, TrackerBindingCorruptionFires) {

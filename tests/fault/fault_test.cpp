@@ -98,6 +98,25 @@ TEST(FaultPlan, RejectsMalformedLines) {
   EXPECT_THROW((void)parse_fault_plan("revoke 50 1 0\n"), SimError);   // warning > 0
 }
 
+// Numbers are read exactly and a line carries exactly its verb's
+// arguments: `1x` is not node 1, and a trailing token is not a comment.
+TEST(FaultPlan, RejectsTrailingTextAndExtraTokens) {
+  for (const char* text : {"crash 10 1x\n", "crash 10 1 junk\n", "crash 10s 1\n",
+                           "crash 10 1.0\n", "hang 10 0 15 0\n", "lose-checkpoints 30 -2\n",
+                           "delay-messages 0 60 1 0.25ms\n"}) {
+    try {
+      (void)parse_fault_plan(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("fault plan line 1"), std::string::npos) << e.what();
+    }
+  }
+  const FaultPlan plan = parse_fault_plan("crash 10 1   # trailing comment\n");
+  ASSERT_EQ(plan.crashes.size(), 1u);
+  EXPECT_EQ(plan.crashes[0].node, NodeId{1});
+  EXPECT_DOUBLE_EQ(plan.crashes[0].at, 10.0);
+}
+
 TEST(FaultPlan, DuplicateDeathOnOneNodeAtOneTimestampIsAParseError) {
   // One teardown per (node, time): a plan scheduling the same death twice
   // must fail at parse with the offending line number, not double-crash

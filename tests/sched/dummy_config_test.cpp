@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "workload/profiles.hpp"
 
 namespace osap {
@@ -129,6 +130,30 @@ TEST(DummyConfig, BadPercentageFails) {
   EXPECT_THROW(load_dummy_config(in, *rig.ds, rig.cluster), SimError);
 }
 
+// Numbers are read exactly: a fractional task count or task index is a
+// typo to report, not a value to truncate.
+TEST(DummyConfig, FractionalNumbersFailWithLineNumber) {
+  const char* const bad[] = {
+      "job a priority 0 tasks 1.9 input 1MiB state 0\n",
+      "job a priority 0.5 tasks 1 input 1MiB state 0\n",
+      "job a priority 0 tasks 1 input 1MiB state 0\nat-progress a 1.7 50% submit a\n",
+      "job a priority 0 tasks 1 input 1MiB state 0\nsubmit a at 0.05s\n",
+  };
+  for (const char* text : bad) {
+    Rig rig;
+    std::istringstream in(text);
+    try {
+      load_dummy_config(in, *rig.ds, rig.cluster);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("dummy config line "), std::string::npos) << e.what();
+    }
+  }
+  Rig rig;
+  std::istringstream in("job a priority 0 tasks 0 input 1MiB state 0\n");
+  EXPECT_THROW(load_dummy_config(in, *rig.ds, rig.cluster), SimError);
+}
+
 TEST(ParseSize, Suffixes) {
   EXPECT_EQ(parse_size("0"), 0u);
   EXPECT_EQ(parse_size("123"), 123u);
@@ -139,6 +164,8 @@ TEST(ParseSize, Suffixes) {
   EXPECT_EQ(parse_size("2.5GiB"), gib(2.5));
   EXPECT_THROW(parse_size("12XB"), SimError);
   EXPECT_THROW(parse_size("oops"), SimError);
+  EXPECT_THROW(parse_size("nanGiB"), SimError);
+  EXPECT_THROW(parse_size("infGiB"), SimError);
 }
 
 }  // namespace

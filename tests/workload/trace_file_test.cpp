@@ -67,6 +67,10 @@ TEST(TraceFile, RejectsMalformedLines) {
   EXPECT_THROW(load_trace_file(bad2), SimError);
   std::istringstream bad3("j 0 64XB 0 0\n");
   EXPECT_THROW(load_trace_file(bad3), SimError);
+  std::istringstream bad4("j 0 64MiB 0 0 1GiB junk\n");  // nothing follows the state
+  EXPECT_THROW(load_trace_file(bad4), SimError);
+  std::istringstream bad5("j 0s 64MiB 0 0\n");
+  EXPECT_THROW(load_trace_file(bad5), SimError);
 }
 
 TEST(TraceFile, ZeroInputStillYieldsOneMapper) {

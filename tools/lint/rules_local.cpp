@@ -73,9 +73,8 @@ void check_det1(const SourceFile& f, const UnorderedNames& names,
 
     std::string culprit;
     if (code[re - 1] == ')') {
-      // Call expression: attribute to the callee — `p.regions()` is a
-      // hash-ordered accessor, `det::sorted_keys(m)` is the sanctioned
-      // wrapper and passes.
+      // Call expression: attribute to the callee — an accessor that
+      // returns a hash-ordered container is flagged, any other call passes.
       std::size_t open = re - 1;
       int d = 0;
       for (;; --open) {
@@ -94,7 +93,7 @@ void check_det1(const SourceFile& f, const UnorderedNames& names,
     if (!culprit.empty()) {
       findings.push_back({f.path, f.line_of(colon), "DET-1",
                           "range-for over hash-ordered '" + culprit +
-                              "' — iterate det::sorted_keys() or an ordered container"});
+                              "' — use an ordered container or a dense id-indexed vector"});
     }
   }
 
@@ -111,7 +110,7 @@ void check_det1(const SourceFile& f, const UnorderedNames& names,
       if (names.vars.contains(owner)) {
         findings.push_back({f.path, f.line_of(at), "DET-1",
                             "iterator traversal of hash-ordered '" + owner +
-                                "' — iterate det::sorted_keys() or an ordered container"});
+                                "' — use an ordered container or a dense id-indexed vector"});
       }
     }
   }

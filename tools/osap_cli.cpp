@@ -36,18 +36,16 @@
 // speculative backup attempts; see docs/SPECULATION.md) with optional
 // `--spec-slowness`, `--spec-cap` and `--spec-min-runtime` tuning knobs.
 //
-// Flags take either `--key value` or `--key=value` form. Unknown flags
-// are an error, never silently ignored — a typoed flag quietly running
-// the default experiment has burned enough sweep hours already.
+// Flags take either `--key value` or `--key=value` form (tools/cli_args.hpp).
+// Unknown flags are an error, never silently ignored.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 
+#include "cli_args.hpp"
 #include "common/error.hpp"
-
+#include "common/parse.hpp"
 #include "core/run.hpp"
 #include "fault/injector.hpp"
 #include "metrics/stats.hpp"
@@ -61,55 +59,7 @@
 namespace osap {
 namespace {
 
-struct Args {
-  std::map<std::string, std::string> flags;
-  std::vector<std::string> positional;
-
-  static Args parse(int argc, char** argv, int from) {
-    Args args;
-    for (int i = from; i < argc; ++i) {
-      const std::string token = argv[i];
-      if (token.rfind("--", 0) == 0) {
-        const std::string key = token.substr(2);
-        if (const auto eq = key.find('='); eq != std::string::npos) {
-          args.flags[key.substr(0, eq)] = key.substr(eq + 1);
-        } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-          args.flags[key] = argv[++i];
-        } else {
-          args.flags[key] = "true";
-        }
-      } else {
-        args.positional.push_back(token);
-      }
-    }
-    return args;
-  }
-
-  /// Reject any flag outside `allowed` (satellite of docs/OSAPD.md's
-  /// mis-keyed-axis rule): unknown flags are an error, not a shrug.
-  void check_allowed(const char* subcommand, const std::vector<std::string>& allowed) const {
-    for (const auto& [key, value] : flags) {
-      (void)value;
-      bool ok = false;
-      for (const std::string& a : allowed) ok = ok || key == a;
-      OSAP_CHECK_MSG(ok, "osap " << subcommand << ": unknown flag --" << key
-                                 << " (run 'osap' for the flag reference)");
-    }
-  }
-
-  [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  /// The flag's value read exactly by `parse` (a core::parse_* reader),
-  /// or `fallback` when the flag is absent.
-  template <typename T>
-  [[nodiscard]] T num(const std::string& key, T fallback,
-                      T (*parse)(const std::string&, std::string_view)) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : parse(it->second, "flag --" + key);
-  }
-};
+using cli::Args;
 
 /// Wire `--trace=` / `--counters=` output destinations into the cluster
 /// config. Cluster::run() writes the files when the paths are non-empty.
@@ -122,12 +72,12 @@ void apply_trace_flags(const Args& args, ClusterConfig& cfg) {
 /// and `--spec-min-runtime` tuning knobs) into the Hadoop config.
 /// Speculative execution is opt-in: see docs/SPECULATION.md.
 void apply_speculation_flags(const Args& args, ClusterConfig& cfg) {
-  if (args.flags.contains("speculation")) cfg.hadoop.speculative_execution = true;
+  if (args.has("speculation")) cfg.hadoop.speculative_execution = true;
   cfg.hadoop.speculative_slowness =
-      args.num("spec-slowness", cfg.hadoop.speculative_slowness, core::parse_real);
-  cfg.hadoop.speculative_cap = args.num("spec-cap", cfg.hadoop.speculative_cap, core::parse_count);
+      args.num("spec-slowness", cfg.hadoop.speculative_slowness, parse_real);
+  cfg.hadoop.speculative_cap = args.num("spec-cap", cfg.hadoop.speculative_cap, parse_count);
   cfg.hadoop.speculative_min_runtime =
-      args.num("spec-min-runtime", cfg.hadoop.speculative_min_runtime, core::parse_real);
+      args.num("spec-min-runtime", cfg.hadoop.speculative_min_runtime, parse_real);
 }
 
 /// Build the injector for `--faults=<file>`, or nullptr without the flag.
@@ -141,7 +91,7 @@ std::unique_ptr<fault::FaultInjector> maybe_inject_faults(const Args& args, Clus
 }
 
 void maybe_print_digest(const Args& args, const Cluster& cluster) {
-  if (!args.flags.contains("digest")) return;
+  if (!args.has("digest")) return;
   std::printf("trace-digest: %016llx\n",
               static_cast<unsigned long long>(cluster.trace_digest()));
 }
@@ -149,10 +99,10 @@ void maybe_print_digest(const Args& args, const Cluster& cluster) {
 TwoJobParams params_from(const Args& args) {
   TwoJobParams params;
   params.primitive = parse_primitive(args.get("primitive", "susp"));
-  params.progress_at_launch = args.num("r", 0.5, core::parse_real);
+  params.progress_at_launch = args.num("r", 0.5, parse_real);
   params.tl_state = parse_size(args.get("tl-state", "0"));
   params.th_state = parse_size(args.get("th-state", "0"));
-  params.seed = args.num<std::uint64_t>("seed", 42, core::parse_seed);
+  params.seed = args.num<std::uint64_t>("seed", 42, parse_seed);
   return params;
 }
 
@@ -178,7 +128,7 @@ int cmd_gantt(const Args& args) {
   ds.on_complete("th", [&ds, primitive] { ds.restore("tl", 0, primitive); });
   const auto faults = maybe_inject_faults(args, cluster);
   cluster.run();
-  std::printf("%s", recorder.render_gantt(args.num("cell", 3.0, core::parse_real)).c_str());
+  std::printf("%s", recorder.render_gantt(args.num("cell", 3.0, parse_real)).c_str());
   maybe_print_digest(args, cluster);
   return 0;
 }
@@ -194,8 +144,8 @@ int cmd_config(const Args& args) {
     return 1;
   }
   ClusterConfig cfg = paper_cluster();
-  cfg.num_nodes = args.num("nodes", cfg.num_nodes, core::parse_count);
-  cfg.seed = args.num("seed", cfg.seed, core::parse_seed);
+  cfg.num_nodes = args.num("nodes", cfg.num_nodes, parse_count);
+  cfg.seed = args.num("seed", cfg.seed, parse_seed);
   apply_trace_flags(args, cfg);
   apply_speculation_flags(args, cfg);
   Cluster cluster(cfg);
@@ -224,8 +174,8 @@ int cmd_config(const Args& args) {
 
 int cmd_trace(const Args& args) {
   ClusterConfig cfg = paper_cluster();
-  cfg.num_nodes = args.num("nodes", 4, core::parse_count);
-  cfg.seed = args.num<std::uint64_t>("seed", 7, core::parse_seed);
+  cfg.num_nodes = args.num("nodes", 4, parse_count);
+  cfg.seed = args.num<std::uint64_t>("seed", 7, parse_seed);
   apply_trace_flags(args, cfg);
   apply_speculation_flags(args, cfg);
   Cluster cluster(cfg);
@@ -234,7 +184,7 @@ int cmd_trace(const Args& args) {
   cluster.set_scheduler(core::make_scheduler(which, primitive));
 
   std::vector<SwimJob> trace;
-  if (args.flags.contains("file")) {
+  if (args.has("file")) {
     std::ifstream in(args.get("file", ""));
     if (!in) {
       std::fprintf(stderr, "cannot open trace file %s\n", args.get("file", "").c_str());
@@ -243,7 +193,7 @@ int cmd_trace(const Args& args) {
     trace = load_trace_file(in);
   } else {
     SwimConfig swim;
-    swim.jobs = args.num("jobs", 12, core::parse_count);
+    swim.jobs = args.num("jobs", 12, parse_count);
     Rng rng(cfg.seed);
     trace = generate_swim_trace(swim, rng);
   }
@@ -310,17 +260,17 @@ int main(int argc, char** argv) {
   const Args args = Args::parse(argc, argv, 2);
   try {
     if (cmd == "gantt") {
-      args.check_allowed("gantt", with_common({"primitive", "r", "tl-state", "th-state",
-                                               "seed", "cell"}));
+      args.check_allowed("osap", "gantt",
+                         with_common({"primitive", "r", "tl-state", "th-state", "seed", "cell"}));
       return cmd_gantt(args);
     }
     if (cmd == "config") {
-      args.check_allowed("config", with_common({"nodes", "seed"}));
+      args.check_allowed("osap", "config", with_common({"nodes", "seed"}));
       return cmd_config(args);
     }
     if (cmd == "trace") {
-      args.check_allowed("trace", with_common({"scheduler", "primitive", "jobs", "nodes",
-                                               "seed", "file"}));
+      args.check_allowed("osap", "trace",
+                         with_common({"scheduler", "primitive", "jobs", "nodes", "seed", "file"}));
       return cmd_trace(args);
     }
   } catch (const std::exception& e) {

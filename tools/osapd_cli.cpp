@@ -30,19 +30,21 @@
 // Running `osapd` with no arguments prints every descriptor axis with
 // its default, per workload — read off core::axes() (src/core/run.cpp).
 //
-// Flags take either `--key value` or `--key=value` form; unknown flags
-// are an error, never silently ignored.
+// Flags take either `--key value` or `--key=value` form (tools/cli_args.hpp);
+// unknown flags are an error, never silently ignored. Numeric flags read
+// exactly: `--workers 2.7` and `--max-rss-mb -1` are errors.
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <thread>
 
+#include "cli_args.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "core/run.hpp"
 #include "osapd/aggregate.hpp"
 #include "osapd/expand.hpp"
@@ -68,61 +70,12 @@ double wall_now_ms() {
   return std::chrono::duration<double, std::milli>(t).count();
 }
 
-struct Args {
-  std::vector<std::pair<std::string, std::string>> flags;  // in order
-  std::vector<std::string> positional;
+using cli::Args;
 
-  static Args parse(int argc, char** argv, int from) {
-    Args args;
-    for (int i = from; i < argc; ++i) {
-      const std::string token = argv[i];
-      if (token.rfind("--", 0) == 0) {
-        const std::string key = token.substr(2);
-        if (const auto eq = key.find('='); eq != std::string::npos) {
-          args.flags.emplace_back(key.substr(0, eq), key.substr(eq + 1));
-        } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-          args.flags.emplace_back(key, argv[++i]);
-        } else {
-          args.flags.emplace_back(key, "true");
-        }
-      } else {
-        args.positional.push_back(token);
-      }
-    }
-    return args;
-  }
-
-  /// Reject any flag outside `allowed` — a typoed flag silently running
-  /// the default experiment is how sweeps cache nonsense.
-  void check_allowed(const char* subcommand, const std::vector<std::string>& allowed) const {
-    for (const auto& [key, v] : flags) {
-      (void)v;
-      bool ok = false;
-      for (const std::string& a : allowed) ok = ok || key == a;
-      OSAP_CHECK_MSG(ok, "osapd " << subcommand << ": unknown flag --" << key
-                                  << " (run 'osapd' for usage)");
-    }
-  }
-
-  [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
-    std::string out = fallback;
-    for (const auto& [k, v] : flags) {
-      if (k == key) out = v;
-    }
-    return out;
-  }
-  [[nodiscard]] double num(const std::string& key, double fallback) const {
-    const std::string v = get(key, "");
-    return v.empty() ? fallback : std::stod(v);
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    for (const auto& [k, v] : flags) {
-      (void)v;
-      if (k == key) return true;
-    }
-    return false;
-  }
-};
+/// `--max-rss-mb`: 0 (no budget) or a budget in MiB.
+std::uint64_t parse_mib(const std::string& text, std::string_view label) {
+  return parse_integer<std::uint64_t>(text, label, 0, "a non-negative integer");
+}
 
 osapd::MatrixSpec load_matrix(const Args& args) {
   OSAP_CHECK_MSG(!args.positional.empty(), "expected a .matrix file argument");
@@ -137,7 +90,7 @@ osapd::MatrixSpec load_matrix(const Args& args) {
 }
 
 int cmd_expand(const Args& args) {
-  args.check_allowed("expand", {"set"});
+  args.check_allowed("osapd", "expand", {"set"});
   const std::vector<core::RunDescriptor> cells = osapd::expand(load_matrix(args));
   for (const core::RunDescriptor& d : cells) {
     std::printf("%s  %s\n", d.digest_hex().c_str(), d.canonical().c_str());
@@ -146,15 +99,13 @@ int cmd_expand(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
-  args.check_allowed("run", {"set", "workers", "cache-dir", "no-cache", "max-rss-mb", "out",
-                             "quiet"});
-  const std::vector<core::RunDescriptor> cells = osapd::expand(load_matrix(args));
-
+  args.check_allowed("osapd", "run",
+                     {"set", "workers", "cache-dir", "no-cache", "max-rss-mb", "out", "quiet"});
   osapd::SweepOptions opts;
   const unsigned hw = std::thread::hardware_concurrency();
-  opts.pool.workers = static_cast<int>(args.num("workers", hw > 0 ? hw : 2));
-  opts.pool.max_rss_bytes =
-      static_cast<std::uint64_t>(args.num("max-rss-mb", 0)) * 1024 * 1024;
+  opts.pool.workers = args.num("workers", hw > 0 ? static_cast<int>(hw) : 2, parse_count);
+  opts.pool.max_rss_bytes = args.num<std::uint64_t>("max-rss-mb", 0, parse_mib) * 1024 * 1024;
+  const std::vector<core::RunDescriptor> cells = osapd::expand(load_matrix(args));
   opts.pool.now_ms = &wall_now_ms;
   opts.pool.cancel = &g_cancel;
   if (!args.has("no-cache")) opts.cache_dir = args.get("cache-dir", ".osapd-cache");
@@ -185,7 +136,7 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_instrument(const Args& args) {
-  args.check_allowed("instrument", {"counters", "trace"});
+  args.check_allowed("osapd", "instrument", {"counters", "trace"});
   OSAP_CHECK_MSG(!args.positional.empty(), "expected a descriptor argument (\"k=v;k=v\")");
   const core::RunDescriptor d =
       core::normalize_descriptor(core::RunDescriptor::parse(args.positional[0]));
