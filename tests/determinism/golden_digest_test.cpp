@@ -168,5 +168,58 @@ TEST(GoldenDigest, EvictionPaths) {
   EXPECT_EQ(per_queue.trace_digest, 0x78fb18e0c10aa0baull);
 }
 
+// Captured before the progress watches moved into a table on the
+// Cluster: the two_job cells of the paper's grid, where the dummy
+// scheduler's 100 ms progress poll launches th at r% of tl. Figs. 2 and 3
+// (no state, then 2 GiB on both tasks) under each primitive at three
+// progress points, one Fig. 4 point and one Natjam point.
+TEST(GoldenDigest, PaperGrid) {
+  struct Cell {
+    const char* desc;
+    std::uint64_t digest;
+  };
+  const Cell cells[] = {
+      {"primitive=wait;r=0.1;tl_state=0;th_state=0", 0x1ca65668a65bb7fbull},
+      {"primitive=wait;r=0.5;tl_state=0;th_state=0", 0x94f437ded2078331ull},
+      {"primitive=wait;r=0.9;tl_state=0;th_state=0", 0x58a6d701fa9bf0b7ull},
+      {"primitive=kill;r=0.1;tl_state=0;th_state=0", 0x199499c5e2c40d25ull},
+      {"primitive=kill;r=0.5;tl_state=0;th_state=0", 0x005f2f8eb09fb61full},
+      {"primitive=kill;r=0.9;tl_state=0;th_state=0", 0xc980412f0784d87eull},
+      {"primitive=susp;r=0.1;tl_state=0;th_state=0", 0x5bb592c6deeff56cull},
+      {"primitive=susp;r=0.5;tl_state=0;th_state=0", 0x387fcda559d91b31ull},
+      {"primitive=susp;r=0.9;tl_state=0;th_state=0", 0x1720e3f283bc4ff6ull},
+      {"primitive=wait;r=0.1;tl_state=2GiB;th_state=2GiB", 0x391e4ac280ebe19eull},
+      {"primitive=wait;r=0.5;tl_state=2GiB;th_state=2GiB", 0x176045b19aa9a1cbull},
+      {"primitive=wait;r=0.9;tl_state=2GiB;th_state=2GiB", 0x3e44d65fe2d9460aull},
+      {"primitive=kill;r=0.1;tl_state=2GiB;th_state=2GiB", 0x12c0d767132bce8dull},
+      {"primitive=kill;r=0.5;tl_state=2GiB;th_state=2GiB", 0xc9eb077f9220ca49ull},
+      {"primitive=kill;r=0.9;tl_state=2GiB;th_state=2GiB", 0x6f0d2876cfbb689aull},
+      {"primitive=susp;r=0.1;tl_state=2GiB;th_state=2GiB", 0x3cb7a8a43a23c091ull},
+      {"primitive=susp;r=0.5;tl_state=2GiB;th_state=2GiB", 0xc6275adbb50add3dull},
+      {"primitive=susp;r=0.9;tl_state=2GiB;th_state=2GiB", 0x16956b8b1c641546ull},
+      {"primitive=susp;r=0.5;tl_state=2560MiB;th_state=1280MiB", 0xb42ec173dc7f10d9ull},
+      {"primitive=natjam;r=0.5;tl_state=1GiB;th_state=0", 0xb4f78fcd112c158eull},
+  };
+  for (const Cell& c : cells) {
+    const std::string desc = std::string("workload=two_job;seed=1;") + c.desc;
+    SCOPED_TRACE(desc);
+    const core::ResultRecord rec = core::run_descriptor(core::RunDescriptor::parse(desc));
+    ASSERT_TRUE(rec.ok) << rec.error;
+    EXPECT_EQ(rec.trace_digest, c.digest);
+  }
+}
+
+// Captured before the progress watches moved into a table on the
+// Cluster: job b's watch is armed from inside job a's watch callback,
+// which grows the table while a's poll runs, and job c finishes before
+// its threshold. Each of a's and b's callbacks fires once; c's never.
+TEST(GoldenDigest, WatchArmedInsideAWatch) {
+  NestedWatchStats stats;
+  EXPECT_EQ(run_nested_watches(4, false, &stats), 0x936bd68a6028d2d9ull);
+  EXPECT_EQ(stats.a_fired, 1);
+  EXPECT_EQ(stats.b_fired, 1);
+  EXPECT_EQ(stats.c_fired, 0);
+}
+
 }  // namespace
 }  // namespace osap

@@ -395,6 +395,53 @@ inline std::uint64_t run_oom_tie(std::string* victim = nullptr) {
   return sim.trace_digest();
 }
 
+/// How often each trigger of the nested-watch run fired.
+struct NestedWatchStats {
+  int a_fired = 0;
+  int b_fired = 0;
+  int c_fired = 0;
+};
+
+/// A watch armed inside a watch: job a's at_progress(0.3) callback
+/// submits job b, whose at_progress(0.5) trigger was registered before b
+/// existed, so b's watch is armed from inside a's callback while a's
+/// poll is still running. b's callback suspends a. A third trigger sits
+/// on job c at a threshold no progress reaches, so c finishes first and
+/// its watch must never fire.
+inline std::uint64_t run_nested_watches(std::uint64_t seed, bool tracing = false,
+                                        NestedWatchStats* stats = nullptr) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.num_nodes = 2;
+  cfg.hadoop.map_slots = 2;
+  cfg.seed = seed;
+  cfg.trace.enabled = tracing;
+  Cluster cluster(cfg);
+  auto sched = std::make_unique<DummyScheduler>(cluster);
+  DummyScheduler& ds = *sched;
+  cluster.set_scheduler(std::move(sched));
+  auto counts = std::make_shared<NestedWatchStats>();
+  Rng rng(seed);
+  const TaskSpec a = jitter_task(light_map_task(256 * MiB), rng);
+  const TaskSpec b = jitter_task(light_map_task(128 * MiB), rng);
+  const TaskSpec c = jitter_task(light_map_task(64 * MiB), rng);
+  cluster.submit_at(0.05, single_task_job("a", 0, a));
+  cluster.submit_at(0.06, single_task_job("c", 0, c));
+  ds.at_progress("b", 0, 0.5, [&ds, counts] {
+    ++counts->b_fired;
+    ds.preempt("a", 0, PreemptPrimitive::Suspend);
+  });
+  ds.at_progress("a", 0, 0.3, [&cluster, counts, b] {
+    ++counts->a_fired;
+    cluster.submit(single_task_job("b", 5, b));
+  });
+  ds.at_progress("c", 0, 2.0, [counts] { ++counts->c_fired; });
+  ds.on_complete("b", [&ds] { ds.restore("a", 0, PreemptPrimitive::Suspend); });
+  cluster.run_until(3000.0);
+  EXPECT_TRUE(cluster.job_tracker().all_jobs_done());
+  if (stats != nullptr) *stats = *counts;
+  return cluster.trace_digest();
+}
+
 /// A revocation storm: half the cluster is transient with short sampled
 /// lifetimes, each death preceded by a warning, and the manager rescues
 /// work Natjam-style (checkpoint on warning, evacuate, resume). The

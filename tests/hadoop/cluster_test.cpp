@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "metrics/timeline.hpp"
 #include "sched/dummy.hpp"
 #include "workload/profiles.hpp"
@@ -348,6 +350,27 @@ TEST(ClusterIntegration, EventsAppearInProtocolOrder) {
   EXPECT_LT(suspended, resume_req);
   EXPECT_LT(resume_req, resumed);
   EXPECT_LT(resumed, succeeded);
+}
+
+TEST(ClusterIntegration, WatchOnAFinishedTaskReleasesItsCallback) {
+  // No progress reaches 2, so the task finishes first: the watch never
+  // fires, and the first poll that sees the task done lets go of the
+  // callback and everything it captured instead of keeping it until the
+  // cluster dies.
+  Rig rig;
+  TaskSpec spec = light_map_task();
+  spec.preferred_node = rig.cluster.node(0);
+  const JobId job = rig.cluster.submit(single_task_job("solo", 0, spec));
+  const TaskId task = rig.cluster.job_tracker().job(job).tasks[0];
+  auto held = std::make_shared<int>(0);
+  rig.cluster.watch_task_progress(task, 2.0, [held] { ++*held; });
+  EXPECT_EQ(held.use_count(), 2);
+  rig.cluster.run();
+  ASSERT_TRUE(rig.cluster.job_tracker().task(task).done());
+  // run() returns at the completion; the next poll is at most 100 ms away.
+  rig.cluster.run_until(rig.cluster.sim().now() + 1.0);
+  EXPECT_EQ(*held, 0);
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 }  // namespace
