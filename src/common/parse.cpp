@@ -24,6 +24,9 @@ double parse_real(const std::string& text, std::string_view label) {
     throw_not_a(label, text, "numeric");
   }
   if (used != text.size()) throw_not_a(label, text, "numeric");  // "0.5x" is a typo, not 0.5
+  // A NaN passes every range check by failing every comparison, and an
+  // infinity is no time, rate or fraction the model can use.
+  if (!std::isfinite(out)) throw_not_a(label, text, "a finite number");
   return out;
 }
 

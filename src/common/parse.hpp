@@ -30,6 +30,7 @@ template <typename Int>
   return out;
 }
 
+/// A finite double: "nan" and "inf" are refused.
 [[nodiscard]] double parse_real(const std::string& text, std::string_view label);
 [[nodiscard]] std::uint64_t parse_seed(const std::string& text, std::string_view label);
 /// A positive int.

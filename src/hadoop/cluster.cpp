@@ -1,6 +1,7 @@
 #include "hadoop/cluster.hpp"
 
 #include <fstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -64,25 +65,32 @@ std::vector<BlockId> Cluster::create_input(const std::string& name, Bytes size, 
 }
 
 void Cluster::watch_task_progress(TaskId id, double fraction, std::function<void()> fn) {
-  // Each re-arm carries a copy of the poll lambda; a shared
-  // self-referencing std::function would cycle and never free.
-  auto poll = [this, id, fraction, fn = std::move(fn)](auto self) -> void {
-    const Task& t = jt_.task(id);
-    if (t.done()) return;  // finished before the threshold: never fires
-    double progress = t.progress;
-    // Prefer the live attempt's instantaneous progress over the last
-    // heartbeat snapshot.
-    if (t.tracker.valid()) {
-      TaskTracker* tt = jt_.tracker(t.tracker);
-      if (tt != nullptr && tt->hosts_task(id)) progress = tt->attempt_progress(id);
-    }
-    if (progress >= fraction) {
-      fn();
-      return;
-    }
-    sim_.after(ms(100), [self] { self(self); });
-  };
-  sim_.after(0, [poll] { poll(poll); });
+  watches_.push_back(Watch{id, fraction, std::move(fn)});
+  sim_.after(0, [this, w = watches_.size() - 1] { poll_watch(w); });
+}
+
+void Cluster::poll_watch(std::size_t w) {
+  Watch& watch = watches_[w];
+  const Task& t = jt_.task(watch.task);
+  if (t.done()) {
+    watch.fn = nullptr;  // finished before the threshold: never fires
+    return;
+  }
+  double progress = t.progress;
+  // Prefer the live attempt's instantaneous progress over the last
+  // heartbeat snapshot.
+  if (t.tracker.valid()) {
+    TaskTracker* tt = jt_.tracker(t.tracker);
+    if (tt != nullptr && tt->hosts_task(watch.task)) progress = tt->attempt_progress(watch.task);
+  }
+  if (progress >= watch.fraction) {
+    // Out of the table first: the callback may arm a watch, and the
+    // table's growth would move `watch`.
+    const std::function<void()> fn = std::exchange(watch.fn, nullptr);
+    fn();
+    return;
+  }
+  sim_.after(ms(100), [this, w] { poll_watch(w); });
 }
 
 void Cluster::run() { run(std::function<void()>()); }

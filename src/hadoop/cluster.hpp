@@ -13,6 +13,8 @@
 //   Duration sojourn = cluster.job_tracker().job(j).sojourn();
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -74,6 +76,12 @@ class Cluster {
 
   /// Fire `fn` once the task's live attempt reaches `fraction` progress
   /// (fine-grained poll; experiment instrumentation, not a Hadoop API).
+  /// The watch joins a table on the cluster and is polled now, then every
+  /// 100 ms until the task reaches the fraction or finishes first. Each
+  /// poll event captures only the cluster and the watch's index, small
+  /// enough for std::function to hold without allocating; `fn` stays in
+  /// the table. It is released once it fires, or at the first poll that
+  /// finds the task done, and it may arm further watches.
   void watch_task_progress(TaskId id, double fraction, std::function<void()> fn);
 
   /// Run until the event queue drains (all jobs done) or `deadline`.
@@ -90,6 +98,9 @@ class Cluster {
   [[nodiscard]] std::uint64_t trace_digest() const noexcept { return sim_.trace_digest(); }
 
  private:
+  /// One poll of watch `w`: fire, release or re-arm it.
+  void poll_watch(std::size_t w);
+
   ClusterConfig cfg_;
   Simulation sim_;
   Network net_;
@@ -101,6 +112,15 @@ class Cluster {
   std::unique_ptr<Scheduler> scheduler_;
   /// submit_at arrivals not yet fired; run() does not return before they are.
   int pending_arrivals_ = 0;
+
+  struct Watch {
+    TaskId task;
+    double fraction;
+    std::function<void()> fn;  ///< empty once fired or released
+  };
+  /// Every watch ever armed, indexed by arming order; polls refer to one
+  /// by index because a callback may arm another and grow the table.
+  std::vector<Watch> watches_;
 };
 
 }  // namespace osap

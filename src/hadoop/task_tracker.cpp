@@ -99,6 +99,7 @@ void TaskTracker::send_status(bool out_of_band) {
   status.free_reduce_slots = free_reduce_slots();
   status.reports = std::move(pending_reports_);
   pending_reports_.clear();
+  status.reports.reserve(status.reports.size() + live_.size());
   // Reports travel to the JobTracker in task-id order: the scheduler acts
   // on them in arrival order, so this order is part of the event stream.
   for (const auto& [tid, task] : live_) {
@@ -116,13 +117,10 @@ void TaskTracker::send_status(bool out_of_band) {
   if (out_of_band) ctr_oob_heartbeats_->add();
   // Round-trip span: ends when the JobTracker's response arrives. The
   // JobTracker responds to every heartbeat and per-pair delivery is FIFO,
-  // so responses pair with sends in order. The enabled() guards here and
-  // in on_response() skip building the argument list on every heartbeat.
+  // so responses pair with sends in order.
   const std::uint64_t span = ++hb_seq_;
-  if (tracer_->enabled()) {
-    tracer_->async_begin(trk_, out_of_band ? "oob_heartbeat" : "heartbeat", span,
-                         {{"reports", static_cast<std::uint64_t>(status.reports.size())}});
-  }
+  tracer_->async_begin(trk_, out_of_band ? "oob_heartbeat" : "heartbeat", span,
+                       {{"reports", static_cast<std::uint64_t>(status.reports.size())}});
   outstanding_hb_.emplace_back(span, out_of_band);
   net_.send(node_, master_, [jt = jt_, status = std::move(status)]() mutable {
     jt->on_heartbeat(std::move(status));
@@ -136,10 +134,8 @@ void TaskTracker::on_response(HeartbeatResponse response) {
   if (!outstanding_hb_.empty()) {
     const auto [span, oob] = outstanding_hb_.front();
     outstanding_hb_.pop_front();
-    if (tracer_->enabled()) {
-      tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", span,
-                         {{"actions", static_cast<std::uint64_t>(response.actions.size())}});
-    }
+    tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", span,
+                       {{"actions", static_cast<std::uint64_t>(response.actions.size())}});
   }
   for (const TaskAction& action : response.actions) apply(action);
 }

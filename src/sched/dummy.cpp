@@ -1,5 +1,7 @@
 #include "sched/dummy.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -58,7 +60,8 @@ void DummyScheduler::job_added(JobId id) {
                                                        << trigger.job << "'");
     trigger.armed = true;
     const TaskId task = job.tasks[static_cast<std::size_t>(trigger.index)];
-    cluster_->watch_task_progress(task, trigger.fraction, trigger.action);
+    // An armed trigger never re-arms, so the watch can take its action.
+    cluster_->watch_task_progress(task, trigger.fraction, std::move(trigger.action));
   }
 }
 

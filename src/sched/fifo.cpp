@@ -5,12 +5,14 @@
 namespace osap {
 
 std::vector<JobId> FifoScheduler::job_queue() const {
-  // Sorting the running set matches the old sort-all-then-filter order:
-  // the comparator reads only per-job state, and stable_sort keeps the
-  // ascending-id (submission) order of equal priorities.
+  // The running set ascends by id, so sorting it on (priority desc, id)
+  // gives the order a stable sort on priority alone would, without the
+  // stable sort's temporary buffer.
   std::vector<JobId> queue(jt_->running_jobs().begin(), jt_->running_jobs().end());
-  std::stable_sort(queue.begin(), queue.end(), [this](JobId a, JobId b) {
-    return jt_->job(a).spec.priority > jt_->job(b).spec.priority;
+  std::sort(queue.begin(), queue.end(), [this](JobId a, JobId b) {
+    const int pa = jt_->job(a).spec.priority;
+    const int pb = jt_->job(b).spec.priority;
+    return pa != pb ? pa > pb : a < b;
   });
   return queue;
 }
@@ -30,9 +32,12 @@ std::vector<TaskId> FifoScheduler::assign(const TrackerStatus& status) {
   int reduces = status.free_reduce_slots;
   if (maps <= 0 && reduces <= 0) return out;
 
-  // Node-local (or unconstrained) tasks first, remote ones second.
+  // Node-local (or unconstrained) tasks first, remote ones second. Both
+  // passes walk one queue: nothing here changes a job's priority or the
+  // running set.
+  const std::vector<JobId> queue = job_queue();
   for (const bool local_pass : {true, false}) {
-    for (JobId jid : job_queue()) {
+    for (JobId jid : queue) {
       const Job& job = jt_->job(jid);
       for (TaskId tid : job.unassigned) {
         const Task& task = jt_->task(tid);

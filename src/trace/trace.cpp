@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 
@@ -11,12 +13,11 @@ namespace osap::trace {
 
 namespace {
 
-/// JSON string literal with minimal escaping (quote, backslash, control
-/// characters). Track and event names are ASCII identifiers in practice,
-/// but task names flow in from user-facing job specs.
-std::string quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+/// Append `s` as a JSON string literal with minimal escaping (quote,
+/// backslash, control characters). Track and event names are ASCII
+/// identifiers in practice, but task names flow in from user-facing job
+/// specs.
+void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -43,6 +44,11 @@ std::string quote(const std::string& s) {
     }
   }
   out.push_back('"');
+}
+
+std::string quote(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
   return out;
 }
 
@@ -51,11 +57,6 @@ std::string quote(const std::string& s) {
 long long to_us(SimTime ts) { return std::llround(ts * 1e6); }
 
 }  // namespace
-
-TraceValue::TraceValue(const char* s) : json_(quote(s)) {}
-TraceValue::TraceValue(std::string s) : json_(quote(s)) {}
-TraceValue::TraceValue(std::uint64_t v) : json_(std::to_string(v)) {}
-TraceValue::TraceValue(int v) : json_(std::to_string(v)) {}
 
 TrackId Tracer::track(const std::string& process, const std::string& thread) {
   // track_order_ is sorted by (process, thread): find this process's run
@@ -90,13 +91,26 @@ void Tracer::push(TrackId t, char phase, const char* name, std::uint64_t id, Tra
   e.phase = phase;
   e.name = name;
   e.id = id;
-  e.args = std::move(args);
+  for (const TraceArg& arg : args) {
+    if (!e.args.empty()) e.args += ',';
+    append_quoted(e.args, arg.key);
+    e.args += ':';
+    std::visit(
+        [&e](const auto& v) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string_view>) {
+            append_quoted(e.args, v);
+          } else {
+            e.args += std::to_string(v);
+          }
+        },
+        arg.value);
+  }
   events_.push_back(std::move(e));
 }
 
 void Tracer::begin(TrackId t, const char* name, TraceArgs args) {
   if (!enabled_) return;
-  push(t, 'B', name, 0, std::move(args));
+  push(t, 'B', name, 0, args);
 }
 
 void Tracer::end(TrackId t) {
@@ -106,17 +120,17 @@ void Tracer::end(TrackId t) {
 
 void Tracer::instant(TrackId t, const char* name, TraceArgs args) {
   if (!enabled_) return;
-  push(t, 'i', name, 0, std::move(args));
+  push(t, 'i', name, 0, args);
 }
 
 void Tracer::async_begin(TrackId t, const char* name, std::uint64_t id, TraceArgs args) {
   if (!enabled_) return;
-  push(t, 'b', name, id, std::move(args));
+  push(t, 'b', name, id, args);
 }
 
 void Tracer::async_end(TrackId t, const char* name, std::uint64_t id, TraceArgs args) {
   if (!enabled_) return;
-  push(t, 'e', name, id, std::move(args));
+  push(t, 'e', name, id, args);
 }
 
 double Tracer::async_duration(const std::string& name, std::uint64_t id) const {
@@ -168,12 +182,7 @@ void Tracer::write_json(std::ostream& os) const {
     if (e.phase == 'i') line += ",\"s\":\"t\"";
     if (!e.args.empty()) {
       line += ",\"args\":{";
-      bool first_arg = true;
-      for (const auto& [key, value] : e.args) {
-        if (!first_arg) line += ",";
-        first_arg = false;
-        line += quote(key) + ":" + value.json();
-      }
+      line += e.args;
       line += "}";
     }
     line += "}";

@@ -11,10 +11,10 @@
 //     is bit-identical with tracing enabled or disabled (enforced by
 //     tests/determinism).
 //  2. *Cheap when off.* Every recording call starts with a single branch on
-//     `enabled_` and returns without recording. The caller has already
-//     built the arguments by then: a TraceArgs list costs a heap
-//     allocation and a rendered string per value, so a call site on a hot
-//     path (one per heartbeat, say) tests enabled() first. Track
+//     `enabled_` and returns without recording. The argument list the
+//     caller built is a stack array of raw values (string views and
+//     integers), rendered to JSON only when an event is recorded, so a
+//     call site on a hot path needs no guard of its own. Track
 //     registration stays live while disabled so subsystems can cache
 //     TrackIds at construction regardless of configuration.
 //  3. *Cross-compiler stable output.* Timestamps are quantized to integer
@@ -30,9 +30,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/time.hpp"
@@ -42,25 +45,23 @@ namespace osap::trace {
 /// Index into the tracer's track table.
 using TrackId = std::uint32_t;
 
-/// A pre-rendered JSON scalar. Deliberately no double constructor: trace
-/// arguments must be integers or strings so golden files are byte-stable
-/// across compilers; quantize (e.g. to bytes or microseconds) at the call
-/// site instead.
-class TraceValue {
- public:
-  TraceValue(const char* s);
-  TraceValue(std::string s);
-  TraceValue(std::uint64_t v);
-  TraceValue(int v);
+/// One argument value, kept raw until an event is recorded: a string or
+/// an integer. A string is viewed, not copied, so it must outlive the
+/// recording call; a braced argument list written in the call does.
+/// Deliberately no double alternative: trace arguments must be integers
+/// or strings so golden files are byte-stable across compilers; quantize
+/// (e.g. to bytes or microseconds) at the call site instead.
+using TraceValue = std::variant<std::string_view, std::uint64_t, int>;
 
-  [[nodiscard]] const std::string& json() const noexcept { return json_; }
-
- private:
-  std::string json_;
+/// One key/value argument of an event.
+struct TraceArg {
+  std::string_view key;
+  TraceValue value;
 };
 
-/// Ordered key/value argument list attached to an event.
-using TraceArgs = std::vector<std::pair<std::string, TraceValue>>;
+/// Ordered argument list, written as a braced list in the recording call.
+/// It allocates nothing; the tracer renders it only when it records.
+using TraceArgs = std::initializer_list<TraceArg>;
 
 /// One recorded event. `phase` follows the Chrome trace-event format:
 /// B/E sync span, i instant, b/e async span (matched by track+name+id).
@@ -70,7 +71,9 @@ struct TraceEvent {
   char phase = 'i';
   std::string name;
   std::uint64_t id = 0;  ///< async correlation id; unused for B/E/i.
-  TraceArgs args;
+  /// The arguments as rendered JSON members (`"key":value,...`); empty
+  /// when the event has none.
+  std::string args;
 };
 
 class Tracer {

@@ -139,7 +139,10 @@ TEST(RunFacade, NumericAxesRejectWhatTheyCannotReadExactly) {
                          Bad{"seed=-1", "seed"},
                          Bad{"seed=1e30", "seed"},
                          Bad{"workload=trace;seed=99999999999999999999", "seed"},
-                         Bad{"r=0.5x", "r"}}) {
+                         Bad{"r=0.5x", "r"},
+                         Bad{"r=nan", "r"},
+                         Bad{"workload=trace;lifetime_model=exp;node_mix=0.5;warning_s=inf",
+                             "warning_s"}}) {
     const ResultRecord rec = run_descriptor(RunDescriptor::parse(bad.cell));
     EXPECT_FALSE(rec.ok) << bad.cell;
     const std::string named = std::string("key '") + bad.key + "'";

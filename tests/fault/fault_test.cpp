@@ -103,7 +103,8 @@ TEST(FaultPlan, RejectsMalformedLines) {
 TEST(FaultPlan, RejectsTrailingTextAndExtraTokens) {
   for (const char* text : {"crash 10 1x\n", "crash 10 1 junk\n", "crash 10s 1\n",
                            "crash 10 1.0\n", "hang 10 0 15 0\n", "lose-checkpoints 30 -2\n",
-                           "delay-messages 0 60 1 0.25ms\n"}) {
+                           "delay-messages 0 60 1 0.25ms\n", "crash nan 1\n",
+                           "crash inf 1\n"}) {
     try {
       (void)parse_fault_plan(text);
       ADD_FAILURE() << "accepted: " << text;

@@ -138,6 +138,7 @@ TEST(DummyConfig, FractionalNumbersFailWithLineNumber) {
       "job a priority 0.5 tasks 1 input 1MiB state 0\n",
       "job a priority 0 tasks 1 input 1MiB state 0\nat-progress a 1.7 50% submit a\n",
       "job a priority 0 tasks 1 input 1MiB state 0\nsubmit a at 0.05s\n",
+      "job a priority 0 tasks 1 input 1MiB state 0\nat-progress a 0 nan% submit a\n",
   };
   for (const char* text : bad) {
     Rig rig;

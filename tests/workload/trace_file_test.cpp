@@ -71,6 +71,8 @@ TEST(TraceFile, RejectsMalformedLines) {
   EXPECT_THROW(load_trace_file(bad4), SimError);
   std::istringstream bad5("j 0s 64MiB 0 0\n");
   EXPECT_THROW(load_trace_file(bad5), SimError);
+  std::istringstream bad6("j inf 64MiB 0 0\n");
+  EXPECT_THROW(load_trace_file(bad6), SimError);
 }
 
 TEST(TraceFile, ZeroInputStillYieldsOneMapper) {

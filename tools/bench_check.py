@@ -9,6 +9,10 @@ config tweak) is expected churn, while a 2x jump in events_processed or
 VmmReclaim work is exactly the kind of silent regression the gate exists
 to catch.
 
+The event-stream digest (trace_digest, present in the fig2 baseline) is
+the exception: it is gated exactly. A changed digest means a changed
+event stream, which every counter can miss by staying inside its band.
+
 Wall-clock metrics (wall_ms, events_per_sec — present in the scale
 baseline, BENCH_scale.json) are gated separately with a one-sided band:
 runners vary wildly in speed, so only a large slowdown fails the gate
@@ -81,6 +85,15 @@ def check(baseline, current, tolerance):
     return problems
 
 
+def check_digest(baseline, current):
+    """Exact trace_digest gate; returns [(base, cur)] on a mismatch."""
+    if "trace_digest" not in baseline:
+        return []
+    base = baseline["trace_digest"]
+    cur = current.get("trace_digest")
+    return [] if cur == base else [(base, cur)]
+
+
 def check_wall(baseline, current, wall_tolerance):
     """One-sided wall-clock band; returns (key, base, cur, limit) failures."""
     problems = []
@@ -114,6 +127,20 @@ def self_test(baseline, tolerance, wall_tolerance):
     if not check(baseline, dropped, tolerance):
         print(f"self-test FAILED: dropping counters.{key} was not flagged")
         return 1
+    if check_digest(baseline, baseline):
+        print("self-test FAILED: identical trace_digest did not pass")
+        return 1
+    if "trace_digest" in baseline:
+        digest = baseline["trace_digest"]
+        flipped = copy.deepcopy(baseline)
+        flipped["trace_digest"] = digest[:-1] + ("1" if digest[-1] == "0" else "0")
+        if not check_digest(baseline, flipped):
+            print("self-test FAILED: a flipped trace_digest digit was not flagged")
+            return 1
+        del flipped["trace_digest"]
+        if not check_digest(baseline, flipped):
+            print("self-test FAILED: a missing trace_digest was not flagged")
+            return 1
     if check_wall(baseline, baseline, wall_tolerance):
         print("self-test FAILED: identical wall metrics did not pass")
         return 1
@@ -169,8 +196,9 @@ def main():
         return 2
 
     problems = check(baseline, current, args.tolerance)
+    digest_problems = check_digest(baseline, current)
     wall_problems = check_wall(baseline, current, args.wall_tolerance)
-    if problems or wall_problems:
+    if problems or digest_problems or wall_problems:
         if problems:
             print(f"bench regression vs {args.baseline} (tolerance {args.tolerance:.0%}):")
             for key, base, cur, dev in problems:
@@ -179,6 +207,11 @@ def main():
                 annotate(args.github, "bench regression",
                          f"{key}: baseline {base} -> current {shown} ({dev:.1%}) "
                          f"vs {args.baseline}")
+        for base, cur in digest_problems:
+            shown = "MISSING" if cur is None else cur
+            print(f"  trace_digest: baseline {base} -> current {shown} (gated exactly)")
+            annotate(args.github, "event stream changed",
+                     f"trace_digest: baseline {base} -> current {shown} vs {args.baseline}")
         for key, base, cur, limit in wall_problems:
             shown = "MISSING" if cur is None else f"{cur:g}"
             print(f"  {key}: baseline {base:g} -> current {shown} "
@@ -198,8 +231,9 @@ def main():
             print("      --counters $(pwd)/BENCH_fig2.json --trace $(pwd)/BENCH_fig2_trace.json")
         return 1
     gated = len(flatten(baseline)) + sum(k in baseline for k in WALL_KEYS)
+    exact = " and trace_digest exact" if "trace_digest" in baseline else ""
     print(f"bench gate clean: {gated} metrics within {args.tolerance:.0%} "
-          f"(wall: {args.wall_tolerance:g}x band) of {args.baseline}")
+          f"(wall: {args.wall_tolerance:g}x band){exact} of {args.baseline}")
     return 0
 
 
