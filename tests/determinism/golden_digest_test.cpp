@@ -12,13 +12,49 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/run.hpp"
 #include "workloads.hpp"
 
 namespace osap {
 namespace {
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The digits that follow `key` in `line`.
+std::string number_after(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t from = at + key.size();
+  return line.substr(from, line.find_first_not_of("0123456789", from) - from);
+}
+
+/// (timestamp in µs, tracker id) of every `name` instant in a Chrome trace
+/// written one event per line, in trace order.
+std::vector<std::pair<std::string, std::string>> tracker_instants(const std::string& trace,
+                                                                   const std::string& name) {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::istringstream lines(trace);
+  const std::string tag = "\"name\":\"" + name + "\"";
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\":\"i\"") == std::string::npos || line.find(tag) == std::string::npos) {
+      continue;
+    }
+    out.emplace_back(number_after(line, "\"ts\":"), number_after(line, "\"tracker\":"));
+  }
+  return out;
+}
 
 TEST(GoldenDigest, MapHeavy) {
   EXPECT_EQ(run_map_heavy(42), 0xb06d622b8d43babdull);
@@ -166,6 +202,38 @@ TEST(GoldenDigest, EvictionPaths) {
       base + "scheduler=capacity;queues=prod:0.5:kill|batch:0.5:susp;policy=off"));
   ASSERT_TRUE(per_queue.ok) << per_queue.error;
   EXPECT_EQ(per_queue.trace_digest, 0x78fb18e0c10aa0baull);
+}
+
+// Captured before the JobTracker's lease wheel gave way to a sweep of the
+// tracker slots. Heartbeats from trackers 1 and 2 are dropped from t=5 to
+// t=40, so both leases have run out by the sweep at t=36, which declares
+// them lost together, in ascending id order. Both rejoin through a
+// ReinitTracker order; node 2 then crashes at t=60 and its tracker is
+// lost again at t=90.
+TEST(GoldenDigest, TwoTrackersExpireInOneSweep) {
+  const std::filesystem::path dir(::testing::TempDir());
+  core::RunOptions opts;
+  opts.counters_file = (dir / "two_trackers_counters.json").string();
+  opts.trace_file = (dir / "two_trackers_trace.json").string();
+  const core::ResultRecord rec = core::run_descriptor(
+      core::RunDescriptor::parse("workload=trace;nodes=4;faults=drop-heartbeats 5 40 1|"
+                                 "drop-heartbeats 5 40 2|crash 60 2"),
+      opts);
+  ASSERT_TRUE(rec.ok) << rec.error;
+  EXPECT_EQ(rec.trace_digest, 0x4e54f54201149edaull);
+  const std::string counters = slurp(opts.counters_file);
+  EXPECT_NE(counters.find("\"jobtracker.trackers_lost\":3"), std::string::npos) << counters;
+  EXPECT_NE(counters.find("\"jobtracker.tracker_reinits\":2"), std::string::npos) << counters;
+  const std::string trace = slurp(opts.trace_file);
+  using Instants = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(tracker_instants(trace, "tracker_lost"),
+            (Instants{{"36000000", "1"}, {"36000000", "2"}, {"90000000", "2"}}));
+  const Instants reinits = tracker_instants(trace, "tracker_reinit");
+  ASSERT_EQ(reinits.size(), 2u);
+  EXPECT_EQ(reinits[0].second, "1");
+  EXPECT_EQ(reinits[1].second, "2");
+  std::filesystem::remove(opts.counters_file);
+  std::filesystem::remove(opts.trace_file);
 }
 
 // Captured before the progress watches moved into a table on the

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "metrics/timeline.hpp"
 #include "sched/dummy.hpp"
+#include "workload/dummy_config.hpp"
 #include "workload/profiles.hpp"
 
 namespace osap {
@@ -350,6 +352,44 @@ TEST(ClusterIntegration, EventsAppearInProtocolOrder) {
   EXPECT_LT(suspended, resume_req);
   EXPECT_LT(resume_req, resumed);
   EXPECT_LT(resumed, succeeded);
+}
+
+// The low job's task is parked twice, as configs/chained_preemptions.conf
+// parks it. Each of its suspend and resume commands is piggybacked on one
+// heartbeat response only: the TaskTracker applies two Suspend and two
+// Resume actions for it, one per request.
+TEST(ClusterIntegration, EachSuspendAndResumeCommandIsSentOnce) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.trace.enabled = true;
+  Rig rig(cfg);
+  std::istringstream conf(
+      "job low priority 0 tasks 1 input 512MiB state 1GiB\n"
+      "job burst1 priority 10 tasks 1 input 256MiB state 0\n"
+      "job burst2 priority 10 tasks 1 input 256MiB state 0\n"
+      "submit low at 0.05\n"
+      "at-progress low 0 30% submit burst1\n"
+      "at-progress low 0 30% preempt low 0 susp\n"
+      "on-complete burst1 restore low 0 susp\n"
+      "at-progress low 0 70% submit burst2\n"
+      "at-progress low 0 70% preempt low 0 susp\n"
+      "on-complete burst2 restore low 0 susp\n");
+  load_dummy_config(conf, *rig.ds, rig.cluster);
+  rig.cluster.run();
+  const Task& low = rig.cluster.job_tracker().task(rig.ds->task_of("low", 0));
+  EXPECT_EQ(low.state, TaskState::Succeeded);
+  EXPECT_EQ(low.attempts_started, 1);
+  // The TaskTracker records every action it applies as an instant on its
+  // track, named after the action and carrying the task id.
+  const std::string args = "\"task\":" + std::to_string(low.id.value());
+  int suspends = 0;
+  int resumes = 0;
+  for (const trace::TraceEvent& e : rig.cluster.sim().trace().tracer().events()) {
+    if (e.phase != 'i' || e.args != args) continue;
+    if (e.name == to_string(ActionKind::Suspend)) ++suspends;
+    if (e.name == to_string(ActionKind::Resume)) ++resumes;
+  }
+  EXPECT_EQ(suspends, 2);
+  EXPECT_EQ(resumes, 2);
 }
 
 TEST(ClusterIntegration, WatchOnAFinishedTaskReleasesItsCallback) {
