@@ -299,22 +299,22 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
 
   // Node-revocation axes (docs/REVOKE.md): a lifetime model samples a
   // revocation schedule for the transient slice of the cluster, merged
-  // into the scripted fault plan so one injector executes both. Cells
-  // with a model are costed — including the all-on-demand node_mix=0
-  // baseline, so the frontier's cost axis is comparable across mixes.
-  const revoke::LifetimeModel lifetime_model =
-      revoke::parse_lifetime_model(axis(d, "lifetime_model"));
-  revoke::RevocationPlan rplan;
-  const bool costed = lifetime_model != revoke::LifetimeModel::None;
+  // into the scripted fault plan so one injector executes both. Every
+  // cell reads and range-checks all the axes; without a model the plan is
+  // empty. Cells with a model are costed — including the all-on-demand
+  // node_mix=0 baseline, so the frontier's cost axis is comparable across
+  // mixes.
+  revoke::LifetimeOptions lopts;
+  lopts.model = revoke::parse_lifetime_model(axis(d, "lifetime_model"));
+  lopts.node_mix = real_axis(d, "node_mix");
+  lopts.mean_lifetime_s = real_axis(d, "lifetime_mean_s");
+  lopts.warning_s = real_axis(d, "warning_s");
+  lopts.seed = cfg.seed;
+  const revoke::RevocationPlan rplan =
+      revoke::plan_revocations(static_cast<std::size_t>(cfg.num_nodes), lopts);
+  rplan.merge_into(fplan);
+  const bool costed = lopts.model != revoke::LifetimeModel::None;
   if (costed) {
-    revoke::LifetimeOptions lopts;
-    lopts.model = lifetime_model;
-    lopts.node_mix = real_axis(d, "node_mix");
-    lopts.mean_lifetime_s = real_axis(d, "lifetime_mean_s");
-    lopts.warning_s = real_axis(d, "warning_s");
-    lopts.seed = cfg.seed;
-    rplan = revoke::plan_revocations(static_cast<std::size_t>(cfg.num_nodes), lopts);
-    rplan.merge_into(fplan);
     // Give each job an HDFS input so replica steering has blocks to
     // move. The NameNode is metadata-only here (no rng, no scheduled
     // events), so the trace digest is unaffected.

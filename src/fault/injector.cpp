@@ -43,11 +43,11 @@ void FaultInjector::arm() {
   }
   for (const NodeCrash& f : plan_.crashes) {
     sim.at(std::max(f.at, sim.now()), [this, f] {
+      if (node_crashed(f.node)) return;  // a dead node cannot die again
       OSAP_LOG(Warn, kLog) << "injecting node crash on node" << f.node.value();
       ++crashes_fired_;
       ctr_crashes_->add();
       tracer_->instant(trk_, "node_crash", {{"node", f.node.value()}});
-      crashed_.insert(f.node);
       cluster_.tracker(f.node).crash();
     });
   }
@@ -72,8 +72,8 @@ void FaultInjector::arm() {
   for (const NodeRevocation& f : plan_.revocations) {
     // The warning lands `f.warning` before the death (clamped to now): the
     // JobTracker drains the tracker, then the installed reaction handler
-    // gets its window. The death itself shares the crash teardown, guarded
-    // against a node already downed by an out-of-order crash verb.
+    // gets its window. The death itself shares the crash teardown, and like
+    // a crash it skips a node already dead.
     sim.at(std::max(f.at - f.warning, sim.now()), [this, f] {
       OSAP_LOG(Warn, kLog) << "revocation warning for node" << f.node.value() << " (dies at t="
                            << f.at << ")";
@@ -85,12 +85,11 @@ void FaultInjector::arm() {
       if (revocation_handler_) revocation_handler_(f, accepted);
     });
     sim.at(std::max(f.at, sim.now()), [this, f] {
-      if (crashed_.contains(f.node)) return;  // already downed elsewhere in the plan
+      if (node_crashed(f.node)) return;  // already downed elsewhere in the plan
       OSAP_LOG(Warn, kLog) << "revoking node" << f.node.value();
       ++revocations_fired_;
       ctr_revocations_->add();
       tracer_->instant(trk_, "node_revoked", {{"node", f.node.value()}});
-      crashed_.insert(f.node);
       cluster_.tracker(f.node).crash();
     });
   }
@@ -101,7 +100,7 @@ MsgFate FaultInjector::filter(NodeId from, NodeId to) {
   // A dead node neither sends nor receives; messages already in flight at
   // crash time still deliver (they were on the wire) and are discarded by
   // the crashed TaskTracker's guards.
-  if (crashed_.contains(from) || crashed_.contains(to)) {
+  if (node_crashed(from) || node_crashed(to)) {
     fate.drop = true;
     ctr_msgs_dropped_->add();
     return fate;
@@ -148,14 +147,13 @@ void FaultInjector::audit(std::vector<std::string>& violations) const {
   if (revocations_fired_ > plan_.revocations.size()) {
     flag("fired ", revocations_fired_, " revocations for a plan of ", plan_.revocations.size());
   }
-  if (crashed_.size() != crashes_fired_ + revocations_fired_) {
-    flag(crashed_.size(), " crashed nodes but ", crashes_fired_ + revocations_fired_,
-         " node-death faults fired");
+  std::uint64_t crashed = 0;
+  for (int i = 0; i < cluster_.num_nodes(); ++i) {
+    if (node_crashed(cluster_.node(i))) ++crashed;
   }
-  for (NodeId node : crashed_) {
-    if (!cluster_.tracker(node).crashed()) {
-      flag("node", node.value(), " crash fired but its tracker is not crashed");
-    }
+  if (crashed != crashes_fired_ + revocations_fired_) {
+    flag(crashes_fired_ + revocations_fired_, " node-death faults fired but ", crashed,
+         " trackers crashed");
   }
 }
 
@@ -163,8 +161,8 @@ void FaultInjector::dump(std::ostream& os) const {
   os << plan_.size() << " planned faults; fired: " << crashes_fired_ << " crashes, "
      << hangs_fired_ << " hangs, " << checkpoint_losses_fired_ << " checkpoint losses, "
      << warnings_fired_ << " warnings, " << revocations_fired_ << " revocations\n";
-  for (NodeId node : crashed_) {
-    os << "  node" << node.value() << " crashed\n";
+  for (int i = 0; i < cluster_.num_nodes(); ++i) {
+    if (node_crashed(cluster_.node(i))) os << "  node" << i << " crashed\n";
   }
 }
 

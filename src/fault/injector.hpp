@@ -4,13 +4,12 @@
 // time, and the message-level faults (drops, delays) are applied by a pure
 // (from, to, now) filter installed into the Network — so a fault run is
 // exactly as deterministic as a fault-free one. The injector is also an
-// InvariantAuditor: it checks that crashed nodes actually went dark and
-// that no fault fired more often than planned.
+// InvariantAuditor: it checks that every node death it fired downed one
+// tracker and that no fault fired more often than planned.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <set>
 
 #include "audit/audit.hpp"
 #include "fault/fault.hpp"
@@ -34,7 +33,11 @@ class FaultInjector final : public InvariantAuditor {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  [[nodiscard]] bool node_crashed(NodeId node) const { return crashed_.contains(node); }
+  /// Whether the node is dead: its tracker crashed. The master node
+  /// hosts no tracker and never dies.
+  [[nodiscard]] bool node_crashed(NodeId node) const {
+    return node != master_ && cluster_.tracker(node).crashed();
+  }
 
   /// Install the proactive-reaction hook for revocation warnings. May be
   /// set any time before the first warning fires; warnings delivered with
@@ -45,9 +48,8 @@ class FaultInjector final : public InvariantAuditor {
 
   // --- invariant auditing ---------------------------------------------------
   [[nodiscard]] std::string audit_label() const override { return "fault-injector"; }
-  /// Audited invariants: a crashed node's tracker is quiesced (crashed
-  /// flag set, nothing hosted) and fired-fault counts stay within the
-  /// plan.
+  /// Audited invariants: fired-fault counts stay within the plan, and
+  /// every node death fired (crash or revocation) downed one tracker.
   void audit(std::vector<std::string>& violations) const override;
   void dump(std::ostream& os) const override;
 
@@ -58,8 +60,6 @@ class FaultInjector final : public InvariantAuditor {
   Cluster& cluster_;
   FaultPlan plan_;
   NodeId master_;
-  /// Nodes whose crash fault has fired, in id order for audits and dumps.
-  std::set<NodeId> crashed_;
   std::uint64_t crashes_fired_ = 0;
   std::uint64_t hangs_fired_ = 0;
   std::uint64_t checkpoint_losses_fired_ = 0;

@@ -101,7 +101,6 @@ void JobTracker::register_tracker(TaskTracker& tracker) {
   // all still expires.
   slot.last_heartbeat = sim_.now();
   tracker_slots_.push_back(slot);
-  file_lease(idx);
 }
 
 void JobTracker::set_scheduler(Scheduler* scheduler) {
@@ -199,13 +198,6 @@ void JobTracker::set_task_progress(Task& task, double progress) {
   reindex_job(job);
 }
 
-void JobTracker::file_lease(std::uint32_t idx) {
-  if (cfg_.tracker_expiry <= 0) return;
-  TrackerSlot& s = tracker_slots_[idx];
-  s.lease_deadline = s.last_heartbeat + cfg_.tracker_expiry;
-  lease_wheel_[s.lease_deadline].push_back(idx);
-}
-
 void JobTracker::emit(ClusterEventType type, JobId job, TaskId task, NodeId node) {
   const ClusterEvent event{sim_.now(), type, job, task, node};
   protocol_audit_.observe(event);
@@ -256,7 +248,7 @@ bool JobTracker::suspend_task(TaskId id) {
     return false;
   }
   set_task_state(t, TaskState::MustSuspend);
-  command_sent_[id] = false;
+  unsent_commands_.insert(id);
   ctr_suspends_->add();
   tracer_->async_begin(trk_, "suspend", id.value(), {{"kind", "sigtstp"}});
   emit(ClusterEventType::TaskSuspendRequested, t.job, id, t.node);
@@ -272,7 +264,7 @@ bool JobTracker::checkpoint_suspend_task(TaskId id) {
   }
   set_task_state(t, TaskState::MustSuspend);
   t.use_checkpoint = true;
-  command_sent_[id] = false;
+  unsent_commands_.insert(id);
   ctr_suspends_->add();
   tracer_->async_begin(trk_, "suspend", id.value(), {{"kind", "checkpoint"}});
   emit(ClusterEventType::TaskSuspendRequested, t.job, id, t.node);
@@ -314,7 +306,7 @@ bool JobTracker::resume_task(TaskId id) {
     return true;
   }
   set_task_state(t, TaskState::MustResume);
-  command_sent_[id] = false;
+  unsent_commands_.insert(id);
   tracer_->async_begin(trk_, "resume", id.value());
   return true;
 }
@@ -541,7 +533,7 @@ void JobTracker::apply_report(const TrackerStatus& status, const TaskStatusRepor
         // (though checkpoint files make same-node relaunches cheaper).
         t.node = NodeId{};
         t.tracker = TrackerId{};
-        command_sent_.erase(t.id);
+        unsent_commands_.erase(t.id);
         emit(ClusterEventType::TaskSuspended, t.job, t.id, status.node);
       }
       break;
@@ -562,7 +554,7 @@ void JobTracker::task_terminal(Task& task, TaskState state) {
   task.node = NodeId{};
   task.tracker = TrackerId{};
   task.attempt_started_at = -1;
-  command_sent_.erase(task.id);
+  unsent_commands_.erase(task.id);
   // Keep attempt-only kill orders: they target a race-losing attempt
   // still dying on its tracker, and only its ack retires them. Orders for
   // the primary attempt are moot once the task leaves the live states.
@@ -612,7 +604,7 @@ void JobTracker::promote_speculative(Task& task) {
   set_spec_next_check(job_ref(task.job), 0);
   task.checkpointed = false;
   task.use_checkpoint = false;
-  command_sent_.erase(task.id);
+  unsent_commands_.erase(task.id);
   clear_speculative(task);
   tracer_->instant(trk_, "speculation_promoted", {{"task", task.id.value()}});
   emit(ClusterEventType::SpeculationPromoted, task.job, task.id, task.node);
@@ -849,34 +841,13 @@ void JobTracker::reset_attempt_state(Task& task) {
 }
 
 void JobTracker::check_leases() {
-  if (cfg_.tracker_expiry > 0) {
-    // Pop the due wheel buckets only. A tracker that heartbeat since it
-    // was filed is lazily refiled at its true deadline; the rest expired.
-    // Expiry fires in ascending TrackerId order — the order the old
-    // every-tracker sweep declared them in.
-    std::vector<TrackerId> expired;
-    while (!lease_wheel_.empty() && lease_wheel_.begin()->first <= sim_.now()) {
-      const std::vector<std::uint32_t> due = std::move(lease_wheel_.begin()->second);
-      lease_wheel_.erase(lease_wheel_.begin());
-      for (std::uint32_t idx : due) {
-        TrackerSlot& s = tracker_slots_[idx];
-        if (s.lost) {  // unfiled at loss; a stale filing is inert
-          s.lease_deadline = -1;
-          continue;
-        }
-        const SimTime deadline = s.last_heartbeat + cfg_.tracker_expiry;
-        if (deadline > sim_.now()) {
-          s.lease_deadline = deadline;
-          lease_wheel_[deadline].push_back(idx);
-        } else {
-          s.lease_deadline = -1;
-          expired.push_back(s.id);
-        }
-      }
-    }
-    std::sort(expired.begin(), expired.end());
-    for (TrackerId id : expired) declare_lost(id);
+  // Judge every lease before declaring any tracker lost: the slots are
+  // already in ascending id order.
+  std::vector<TrackerId> expired;
+  for (const TrackerSlot& s : tracker_slots_) {
+    if (!s.lost && s.last_heartbeat + cfg_.tracker_expiry <= sim_.now()) expired.push_back(s.id);
   }
+  for (TrackerId id : expired) declare_lost(id);
   lease_timer_ = sim_.after(cfg_.expiry_check_interval, [this] { check_leases(); });
 }
 
@@ -886,7 +857,6 @@ void JobTracker::declare_lost(TrackerId id) {
   const NodeId node = s->tracker->node();
   s->lost = true;
   s->draining = false;  // the drain window ends with the node
-  s->lease_deadline = -1;  // out of the wheel until it rejoins
   ctr_trackers_lost_->add();
   tracer_->instant(trk_, "tracker_lost", {{"tracker", id.value()}});
   OSAP_LOG(Warn, kLog) << id << " lease expired at t=" << sim_.now() << ", declared lost";
@@ -1075,7 +1045,6 @@ void JobTracker::on_heartbeat(TrackerStatus status) {
     s->lost = false;
     s->draining = false;  // any pre-death warning is void after the rejoin
     s->last_heartbeat = sim_.now();
-    file_lease(static_cast<std::uint32_t>(s - tracker_slots_.data()));
     ctr_tracker_reinits_->add();
     tracer_->instant(trk_, "tracker_reinit", {{"tracker", status.tracker.value()}});
     OSAP_LOG(Warn, kLog) << status.tracker << " rejoined after expiry, reinitializing";
@@ -1105,18 +1074,21 @@ void JobTracker::on_heartbeat(TrackerStatus status) {
       order.sent = true;
     }
   }
-  for (auto& [tid, sent] : command_sent_) {
-    if (sent) continue;
-    Task& t = tasks_[tid.value()];
-    if (t.tracker != status.tracker) continue;
-    if (t.state == TaskState::MustSuspend) {
+  // A sent command leaves the set, and the next id slides into position i.
+  for (std::size_t i = 0; i < unsent_commands_.size();) {
+    const TaskId tid = unsent_commands_[i];
+    const Task& t = tasks_[tid.value()];
+    const bool here = t.tracker == status.tracker;
+    if (here && t.state == TaskState::MustSuspend) {
       response.actions.push_back(TaskAction{
           t.use_checkpoint ? ActionKind::CheckpointSuspend : ActionKind::Suspend, tid, {}});
-      sent = true;
-    } else if (t.state == TaskState::MustResume) {
+    } else if (here && t.state == TaskState::MustResume) {
       response.actions.push_back(TaskAction{ActionKind::Resume, tid, {}});
-      sent = true;
+    } else {
+      ++i;
+      continue;
     }
+    unsent_commands_.erase(tid);
   }
 
   // Ask the scheduler for work for the free slots. Blacklisted and
@@ -1233,30 +1205,6 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
            jobs_[t.job.value()].state == JobState::Running ? "Running" : "not Failed");
     }
   }
-  // Lease-wheel consistency: every filing matches its slot's recorded
-  // deadline, and (with expiry enabled) each slot is filed exactly once
-  // while live, never while lost.
-  std::vector<int> filings(tracker_slots_.size(), 0);
-  for (const auto& [deadline, idxs] : lease_wheel_) {
-    for (std::uint32_t idx : idxs) {
-      if (idx >= tracker_slots_.size()) {
-        flag("lease wheel files unknown tracker slot ", idx);
-        continue;
-      }
-      ++filings[idx];
-      if (tracker_slots_[idx].lease_deadline != deadline) {
-        flag(tracker_slots_[idx].id, " filed in the lease wheel at t=", deadline,
-             " but its slot records t=", tracker_slots_[idx].lease_deadline);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < tracker_slots_.size(); ++i) {
-    const TrackerSlot& s = tracker_slots_[i];
-    const int expected = (cfg_.tracker_expiry > 0 && !s.lost) ? 1 : 0;
-    if (filings[i] != expected) {
-      flag(s.id, " has ", filings[i], " lease-wheel filings (expected ", expected, ")");
-    }
-  }
   // Speculation agenda: the due set holds only Running jobs whose bound
   // has come, and every Running job with a finite bound is due or holds a
   // live wheel filing (one that came due waits there for the next drain).
@@ -1289,8 +1237,7 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
     }
   }
   FlatIdSet<JobId> with_suspended;
-  for (const auto& [tid, unused] : command_sent_) {
-    (void)unused;
+  for (TaskId tid : unsent_commands_) {
     if (tid.value() >= tasks_.size()) {
       flag("suspend/resume command addressed to unknown ", tid);
     } else if (!tasks_[tid.value()].live()) {
@@ -1405,7 +1352,7 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
 
 void JobTracker::dump(std::ostream& os) const {
   os << jobs_.size() << " jobs, " << tasks_.size() << " tasks; pending commands: "
-     << command_sent_.size() << " susp/res, " << must_kill_.size() << " kill; "
+     << unsent_commands_.size() << " susp/res, " << must_kill_.size() << " kill; "
      << jobs_with_suspended_.size() << " jobs with parked tasks; speculation agenda: "
      << spec_due_.size() << " due, " << spec_wheel_.size() << " wheel filings\n";
   std::vector<TrackerId> lost;

@@ -198,9 +198,6 @@ class JobTracker final : public InvariantAuditor {
     TrackerId id;
     /// Last heartbeat arrival (the lease; starts at registration).
     SimTime last_heartbeat = 0;
-    /// Wheel deadline this tracker is filed under; -1 when not filed
-    /// (declared lost, or lease expiry disabled).
-    SimTime lease_deadline = -1;
     bool lost = false;
     bool blacklisted = false;
     /// Revocation warning outstanding: assign no new work, but keep the
@@ -237,8 +234,6 @@ class JobTracker final : public InvariantAuditor {
   /// when the bound is <= now (0 = stale), in the wheel when it is a
   /// finite future time, nowhere when it is kTimeNever.
   void set_spec_next_check(Job& job, SimTime bound);
-  /// File the tracker in the lease wheel at last_heartbeat + expiry.
-  void file_lease(std::uint32_t idx);
 
   void emit(ClusterEventType type, JobId job, TaskId task, NodeId node);
   void apply_report(const TrackerStatus& status, const TaskStatusReport& report);
@@ -279,6 +274,8 @@ class JobTracker final : public InvariantAuditor {
 
   // --- failure model (docs/FAULTS.md) --------------------------------------
   /// Periodic lease sweep; re-arms itself every `expiry_check_interval`.
+  /// Declares lost, in ascending id, every tracker not already lost whose
+  /// last heartbeat is `tracker_expiry` or more in the past.
   void check_leases();
   /// Lease expired: requeue the tracker's live and suspended attempts,
   /// re-run Succeeded maps whose output lived on its disk, and drop any
@@ -327,10 +324,10 @@ class JobTracker final : public InvariantAuditor {
   /// Speculation agenda (docs/PERF.md). A Running job whose straggler scan
   /// is due (spec_next_check <= now) sits in `spec_due_`; one whose bound
   /// is a finite future time is filed in `spec_wheel_`, a min-heap on the
-  /// bound. Wheel filings are validated lazily, like the lease wheel's: a
-  /// filing is live only while its job runs and still holds that bound,
-  /// so refiling never searches the heap. maybe_speculate moves the live
-  /// filings that came due into `spec_due_`, then walks it.
+  /// bound. Wheel filings are validated lazily: a filing is live only
+  /// while its job runs and still holds that bound, so refiling never
+  /// searches the heap. maybe_speculate moves the live filings that came
+  /// due into `spec_due_`, then walks it.
   struct SpecFiling {
     SimTime at;
     JobId job;
@@ -347,22 +344,19 @@ class JobTracker final : public InvariantAuditor {
   /// Straggler-scan scratch (candidate attempts of one job); a member so
   /// the per-heartbeat scan reuses one allocation.
   std::vector<std::pair<TaskId, double>> spec_scratch_;
-  /// Tasks with an un-sent Suspend/Resume command (cleared when the
-  /// command is piggybacked). Ordered maps: heartbeat handling walks these
-  /// in task-id order directly, no sorted-key snapshots.
-  std::map<TaskId, bool> command_sent_;
+  /// Tasks owed a Suspend/Resume command not yet piggybacked, ascending
+  /// id: a request files the task; sending the command, the task going
+  /// terminal or being checkpointed, or its copy's promotion drops it.
+  /// Heartbeat handling walks it in task-id order.
+  FlatIdSet<TaskId> unsent_commands_;
   /// Pending Kill commands per task; a racing task can owe kills to both
-  /// its attempts at once.
+  /// its attempts at once. Ordered by task id, the order heartbeat
+  /// handling piggybacks them in.
   std::map<TaskId, std::vector<KillOrder>> must_kill_;
   IdGenerator<JobId> job_ids_;
   IdGenerator<TaskId> task_ids_;
 
   // --- failure model -------------------------------------------------------
-  /// Lease wheel: tracker slots filed by their lease deadline
-  /// (last_heartbeat + expiry at filing time). The sweep pops only the due
-  /// buckets and lazily refiles trackers that heartbeat since — O(due)
-  /// per sweep instead of O(trackers).
-  std::map<SimTime, std::vector<std::uint32_t>> lease_wheel_;
   EventId lease_timer_ = 0;
 
   // --- observability (src/trace) -----------------------------------------

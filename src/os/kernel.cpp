@@ -46,7 +46,6 @@ Pid Kernel::spawn(Program program, ProcessHooks hooks) {
   mark_audit_dirty();
   const Pid pid = pids_.next();
   auto proc = std::make_unique<Process>(pid, std::move(program), std::move(hooks));
-  proc->kernel_ = this;
   proc->total_weight_ = proc->program_.total_weight();
   vmm_.register_process(pid);
   Process* raw = proc.get();
@@ -192,13 +191,11 @@ void Kernel::run_or_defer(Pid pid, std::function<void()> fn) {
 }
 
 RegionId Kernel::region_of(Process& p, const std::string& name, bool create) {
-  auto it = p.regions_.find(name);
-  if (it != p.regions_.end()) return it->second;
+  const RegionId rid = vmm_.find_region(p.pid_, name);
+  if (rid.valid()) return rid;
   OSAP_CHECK_MSG(create, p.name() << " touches unknown region '" << name << "'");
   mark_audit_dirty();
-  const RegionId rid = vmm_.create_region(p.pid_, name);
-  p.regions_.emplace(name, rid);
-  return rid;
+  return vmm_.create_region(p.pid_, name);
 }
 
 void Kernel::leg_done(Pid pid) {
@@ -388,14 +385,6 @@ void Kernel::audit(std::vector<std::string>& violations) const {
       os << pid << " (" << p.name() << ") waits on barrier '" << p.run_.waiting_barrier
          << "' with " << p.run_.outstanding << " outstanding legs";
       violations.push_back(os.str());
-    }
-    for (const auto& [rname, rid] : p.regions_) {
-      if (!vmm_.has_region(rid)) {
-        std::ostringstream os;
-        os << pid << " (" << p.name() << ") region '" << rname << "' (" << rid
-           << ") is gone from the VMM";
-        violations.push_back(os.str());
-      }
     }
   }
 }

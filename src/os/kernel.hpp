@@ -63,8 +63,8 @@ class Kernel final : public InvariantAuditor {
   // --- invariant auditing ---------------------------------------------------
   [[nodiscard]] std::string audit_label() const override { return name_; }
   /// Audited invariants: signal-state legality (no zombies in the process
-  /// table, VMM stopped flag mirrors ProcState::Stopped), phase
-  /// bookkeeping bounds, and region-table agreement with the VMM.
+  /// table, VMM stopped flag mirrors ProcState::Stopped) and phase
+  /// bookkeeping bounds. A process's regions live only in the VMM.
   void audit(std::vector<std::string>& violations) const override;
   /// Per-node process table.
   void dump(std::ostream& os) const override;
@@ -80,8 +80,6 @@ class Kernel final : public InvariantAuditor {
   }
 
  private:
-  friend class Process;
-
   void start_phase(Process& p);
   void advance(Process& p);
   /// One parallel leg (cpu / disk / vmm) of the current phase finished.

@@ -1,7 +1,5 @@
 #include "os/process.hpp"
 
-#include "os/kernel.hpp"
-
 namespace osap {
 
 const char* to_string(Signal s) noexcept {
@@ -22,11 +20,6 @@ const char* to_string(ProcState s) noexcept {
     case ProcState::Zombie: return "zombie";
   }
   return "?";
-}
-
-double Process::progress() const noexcept {
-  if (kernel_ == nullptr) return 0;
-  return kernel_->progress(pid_);
 }
 
 }  // namespace osap

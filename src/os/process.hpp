@@ -8,15 +8,14 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
+#include "os/disk.hpp"
 #include "os/program.hpp"
-#include "os/vmm.hpp"
 #include "sim/fluid_resource.hpp"
 
 namespace osap {
@@ -50,8 +49,6 @@ struct ProcessHooks {
   std::function<void()> on_continued;
 };
 
-class Kernel;
-
 class Process {
  public:
   Process(Pid pid, Program program, ProcessHooks hooks)
@@ -60,9 +57,6 @@ class Process {
   [[nodiscard]] Pid pid() const noexcept { return pid_; }
   [[nodiscard]] ProcState state() const noexcept { return state_; }
   [[nodiscard]] const std::string& name() const noexcept { return program_.name; }
-
-  /// Weighted completion in [0,1] — Hadoop's task progress.
-  [[nodiscard]] double progress() const noexcept;
 
  private:
   friend class Kernel;
@@ -86,7 +80,6 @@ class Process {
   ProcState state_ = ProcState::Running;
   std::size_t phase_idx_ = 0;
   PhaseRun run_;
-  std::map<std::string, RegionId> regions_;
   /// Barriers already released by the kernel; a matching BarrierPhase
   /// falls through immediately (releases are level-triggered, not edges).
   std::vector<std::string> released_barriers_;
@@ -96,7 +89,6 @@ class Process {
   /// Generation counter defeating stale SIGTSTP-handler timers when a
   /// SIGCONT (or kill) arrives inside the handler window.
   std::uint64_t signal_gen_ = 0;
-  Kernel* kernel_ = nullptr;  // set by Kernel::spawn
   double total_weight_ = 0;
   double weight_done_ = 0;  // weight of completed phases
 };

@@ -60,10 +60,12 @@ void Vmm::release_process(Pid pid) {
   mark_audit_dirty();
   auto it = procs_.find(pid);
   if (it == procs_.end()) return;
-  for (RegionId rid : it->second.regions) {
-    auto rit = regions_.find(rid);
-    if (rit == regions_.end()) continue;
-    Region& r = rit->second;
+  for (auto rit = regions_.begin(); rit != regions_.end();) {
+    const Region& r = rit->second;
+    if (r.pid != pid) {
+      ++rit;
+      continue;
+    }
     // Anonymous pages are simply dropped; swap slots are recycled — both
     // the slots backing swapped extents and the slots whose clean resident
     // copies die with the process.
@@ -71,26 +73,30 @@ void Vmm::release_process(Pid pid) {
     OSAP_CHECK(swap_used_ >= r.swapped + r.resident_clean);
     swap_used_ -= r.swapped + r.resident_clean;
     ctr_discarded_->add(r.swapped);
-    regions_.erase(rit);
+    rit = regions_.erase(rit);
   }
   // Keep the ProcInfo entry: the cumulative paging counters are the
   // experiment metrics (Fig. 4) and must outlive the process.
-  it->second.regions.clear();
   it->second.stopped = false;
 }
 
 RegionId Vmm::create_region(Pid pid, std::string name) {
   mark_audit_dirty();
-  auto it = procs_.find(pid);
-  OSAP_CHECK_MSG(it != procs_.end(), "create_region for unknown " << pid);
+  OSAP_CHECK_MSG(procs_.contains(pid), "create_region for unknown " << pid);
   const RegionId rid = region_ids_.next();
   Region r;
   r.pid = pid;
   r.name = std::move(name);
   r.last_touch = ++touch_seq_;
   regions_.emplace(rid, std::move(r));
-  it->second.regions.push_back(rid);
   return rid;
+}
+
+RegionId Vmm::find_region(Pid pid, const std::string& name) const {
+  for (const auto& [rid, r] : regions_) {
+    if (r.pid == pid && r.name == name) return rid;
+  }
+  return RegionId{};
 }
 
 void Vmm::mark_hot(RegionId rid, bool hot) {
@@ -291,7 +297,6 @@ Bytes Vmm::evict_from_region(Region& region, Bytes want, VictimPlan& plan) {
     taken += dirty;
     auto pit = procs_.find(region.pid);
     if (pit != procs_.end()) pit->second.swapped_out_total += dirty;
-    swapped_out_all_ += dirty;
   }
   return taken;
 }
@@ -352,9 +357,8 @@ Vmm::VictimPlan Vmm::select_victims(Bytes want, Pid requester) {
     if (refault_budget > 0) {
       const auto pit = procs_.find(requester);
       if (pit != procs_.end() && !pit->second.stopped) {
-        for (RegionId rid : pit->second.regions) {
-          Region& r = regions_.at(rid);
-          if (!r.hot || r.resident_dirty == 0) continue;
+        for (auto& [rid, r] : regions_) {
+          if (r.pid != requester || !r.hot || r.resident_dirty == 0) continue;
           const Bytes swap_left = sat_sub(cfg_.swap_size, swap_used_);
           const Bytes hit = std::min({refault_budget, r.resident_dirty, swap_left});
           if (hit == 0) continue;
@@ -363,7 +367,6 @@ Vmm::VictimPlan Vmm::select_victims(Bytes want, Pid requester) {
           ctr_paged_out_->add(hit);
           swap_used_ += hit;
           pit->second.swapped_out_total += hit;
-          swapped_out_all_ += hit;
           plan.io += hit;
           plan.refault += hit;
           plan.refault_region = rid;
@@ -478,24 +481,16 @@ void Vmm::oom(const char* why) {
 
 Bytes Vmm::resident(Pid pid) const {
   Bytes total = 0;
-  const auto it = procs_.find(pid);
-  if (it == procs_.end()) return 0;
-  for (RegionId rid : it->second.regions) {
-    const auto rit = regions_.find(rid);
-    if (rit == regions_.end()) continue;
-    total += rit->second.resident_clean + rit->second.resident_dirty;
+  for (const auto& [rid, r] : regions_) {
+    if (r.pid == pid) total += r.resident_clean + r.resident_dirty;
   }
   return total;
 }
 
 Bytes Vmm::swapped(Pid pid) const {
   Bytes total = 0;
-  const auto it = procs_.find(pid);
-  if (it == procs_.end()) return 0;
-  for (RegionId rid : it->second.regions) {
-    const auto rit = regions_.find(rid);
-    if (rit == regions_.end()) continue;
-    total += rit->second.swapped;
+  for (const auto& [rid, r] : regions_) {
+    if (r.pid == pid) total += r.swapped;
   }
   return total;
 }
@@ -531,6 +526,11 @@ void Vmm::audit(std::vector<std::string>& violations) const {
     resident += r.resident_clean + r.resident_dirty;
     swapped += r.swapped;
     clean += r.resident_clean;
+    if (!procs_.contains(r.pid)) {
+      std::ostringstream os;
+      os << rid << " (" << r.name << ") is owned by unregistered " << r.pid;
+      violations.push_back(os.str());
+    }
   }
 
   // Frame conservation: every usable frame is free, in the fs cache, in
@@ -572,29 +572,6 @@ void Vmm::audit(std::vector<std::string>& violations) const {
        << format_bytes(swapped);
     violations.push_back(os.str());
   }
-
-  // Region <-> process list consistency (the two-list bookkeeping): every
-  // region's owner is registered and lists the region; every listed
-  // region id resolves (or was erased from both sides together).
-  std::size_t listed = 0;
-  for (const auto& [pid, info] : procs_) {
-    for (RegionId rid : info.regions) {
-      const auto rit = regions_.find(rid);
-      if (rit == regions_.end()) continue;  // erased region ids are pruned lazily
-      ++listed;
-      if (rit->second.pid != pid) {
-        std::ostringstream os;
-        os << rid << " listed by " << pid << " but owned by " << rit->second.pid;
-        violations.push_back(os.str());
-      }
-    }
-  }
-  if (listed != regions_.size()) {
-    std::ostringstream os;
-    os << "region table has " << regions_.size() << " entries but process lists resolve "
-       << listed;
-    violations.push_back(os.str());
-  }
 }
 
 void Vmm::dump(std::ostream& os) const {
@@ -603,17 +580,16 @@ void Vmm::dump(std::ostream& os) const {
      << format_bytes(cfg_.swap_size) << ", " << regions_.size() << " regions, "
      << procs_.size() << " processes\n";
   for (const auto& [pid, info] : procs_) {
-    if (info.regions.empty()) continue;
-    os << "  " << pid << (info.stopped ? " [stopped]" : "") << ":";
-    for (RegionId rid : info.regions) {
-      const auto rit = regions_.find(rid);
-      if (rit == regions_.end()) continue;
-      const Region& r = rit->second;
+    bool listed = false;
+    for (const auto& [rid, r] : regions_) {
+      if (r.pid != pid) continue;
+      if (!listed) os << "  " << pid << (info.stopped ? " [stopped]" : "") << ":";
+      listed = true;
       os << " " << r.name << "(clean " << format_bytes(r.resident_clean) << ", dirty "
          << format_bytes(r.resident_dirty) << ", swapped " << format_bytes(r.swapped)
          << (r.hot ? ", hot" : "") << ")";
     }
-    os << "\n";
+    if (listed) os << "\n";
   }
 }
 

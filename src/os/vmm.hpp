@@ -68,6 +68,8 @@ class Vmm final : public InvariantAuditor {
   void release_process(Pid pid);
 
   RegionId create_region(Pid pid, std::string name);
+  /// The process's region of this name, or an invalid id when it has none.
+  [[nodiscard]] RegionId find_region(Pid pid, const std::string& name) const;
   /// Whether the region is in its owner's current working set.
   void mark_hot(RegionId rid, bool hot);
 
@@ -115,7 +117,11 @@ class Vmm final : public InvariantAuditor {
   /// Cumulative bytes ever paged out for this process — Fig. 4's metric.
   [[nodiscard]] Bytes swapped_out_total(Pid pid) const;
   [[nodiscard]] Bytes swapped_in_total(Pid pid) const;
-  [[nodiscard]] Bytes swapped_out_total_all() const noexcept { return swapped_out_all_; }
+  /// Every byte ever written to swap on this node: the disk's swap-out
+  /// traffic, which only the VMM issues.
+  [[nodiscard]] Bytes swapped_out_total_all() const noexcept {
+    return disk_.transferred(IoClass::SwapOut);
+  }
   [[nodiscard]] Bytes region_resident(RegionId rid) const;
   [[nodiscard]] Bytes region_swapped(RegionId rid) const;
   [[nodiscard]] bool has_region(RegionId rid) const { return regions_.contains(rid); }
@@ -125,7 +131,7 @@ class Vmm final : public InvariantAuditor {
   [[nodiscard]] std::string audit_label() const override { return name_; }
   /// Audited invariants: frame conservation (free + cache + in-flight +
   /// resident == usable RAM), swap-slot exactness (swap_used == swapped +
-  /// clean copies), swap capacity, region<->process list consistency, and
+  /// clean copies), swap capacity, every region's owner registered, and
   /// paging-counter conservation (paged_out == paged_in + discarded +
   /// currently swapped).
   void audit(std::vector<std::string>& violations) const override;
@@ -153,7 +159,6 @@ class Vmm final : public InvariantAuditor {
   };
   struct ProcInfo {
     bool stopped = false;
-    std::vector<RegionId> regions;
     Bytes swapped_out_total = 0;
     Bytes swapped_in_total = 0;
   };
@@ -184,7 +189,8 @@ class Vmm final : public InvariantAuditor {
   Disk& disk_;
   const OsConfig cfg_;
   std::string name_;
-  /// Ordered by id: victim selection, audits and dumps walk them.
+  /// Ordered by id: victim selection, audits and dumps walk them. A
+  /// process's regions are the ones it owns, in creation order.
   std::map<Pid, ProcInfo> procs_;
   std::map<RegionId, Region> regions_;
   IdGenerator<RegionId> region_ids_;
@@ -194,7 +200,6 @@ class Vmm final : public InvariantAuditor {
   /// In-flight frames: victims awaiting their swap-out write, and granted
   /// page-in frames awaiting their swap-in read. Part of conservation.
   Bytes held_ = 0;
-  Bytes swapped_out_all_ = 0;
   std::uint64_t touch_seq_ = 0;
   std::function<void()> oom_handler_;
 

@@ -142,7 +142,10 @@ TEST(RunFacade, NumericAxesRejectWhatTheyCannotReadExactly) {
                          Bad{"r=0.5x", "r"},
                          Bad{"r=nan", "r"},
                          Bad{"workload=trace;lifetime_model=exp;node_mix=0.5;warning_s=inf",
-                             "warning_s"}}) {
+                             "warning_s"},
+                         // The revocation axes are read without a lifetime model too.
+                         Bad{"workload=trace;warning_s=abc", "warning_s"},
+                         Bad{"workload=trace;node_mix=abc;lifetime_mean_s=-5", "node_mix"}}) {
     const ResultRecord rec = run_descriptor(RunDescriptor::parse(bad.cell));
     EXPECT_FALSE(rec.ok) << bad.cell;
     const std::string named = std::string("key '") + bad.key + "'";

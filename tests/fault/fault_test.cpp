@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/run.hpp"
 #include "fault/injector.hpp"
 #include "sched/dummy.hpp"
 #include "workload/profiles.hpp"
@@ -478,6 +480,35 @@ TEST(FaultInjectorTest, MessageDelayWindowDelaysWithoutDropping) {
   EXPECT_EQ(cluster.job_tracker().job(ds.job_of("slow")).state, JobState::Succeeded);
   EXPECT_GT(cluster.network().messages_delayed(), 0u);
   EXPECT_EQ(cluster.network().messages_dropped(), 0u);
+}
+
+// The parser rejects only same-instant duplicates, so a plan may kill a
+// node that an earlier line already killed. The second death is a no-op:
+// it is not counted and not traced, and the run completes.
+TEST(FaultRecovery, SecondDeathOfADeadNodeIsANoOp) {
+  struct Case {
+    const char* faults;
+    int crashes;
+    int revocations;
+  };
+  for (const Case& c : {Case{"crash 10 1|crash 20 1", 1, 0},
+                        Case{"revoke 50 1 20|crash 60 1", 0, 1}}) {
+    SCOPED_TRACE(c.faults);
+    const std::string counters_path = "fault_second_death_counters.json";
+    core::RunOptions opts;
+    opts.counters_file = counters_path;
+    const core::ResultRecord rec = core::run_descriptor(
+        core::RunDescriptor::parse(std::string("workload=trace;faults=") + c.faults), opts);
+    EXPECT_TRUE(rec.ok) << rec.error;
+    const std::string counters = slurp(counters_path);
+    const auto value = [&counters](const std::string& name) {
+      const std::size_t at = counters.find("\"" + name + "\":");
+      return at == std::string::npos ? -1 : std::atoi(counters.c_str() + at + name.size() + 3);
+    };
+    EXPECT_EQ(value("fault.node_crashes"), c.crashes) << counters;
+    EXPECT_EQ(value("fault.revocations"), c.revocations) << counters;
+    std::remove(counters_path.c_str());
+  }
 }
 
 TEST(FaultInjectorTest, CrashSilencesAllTrafficBothWays) {
