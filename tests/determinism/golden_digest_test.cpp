@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/run.hpp"
+#include "trace/names.hpp"
 #include "workloads.hpp"
 
 namespace osap {
@@ -56,6 +57,15 @@ std::vector<std::pair<std::string, std::string>> tracker_instants(const std::str
   return out;
 }
 
+/// The value of counter `name` in the record's counter subset.
+std::uint64_t counter_in(const core::ResultRecord& rec, const char* name) {
+  for (const auto& [key, value] : rec.counters) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "no counter " << name << " in the record";
+  return 0;
+}
+
 TEST(GoldenDigest, MapHeavy) {
   EXPECT_EQ(run_map_heavy(42), 0xb06d622b8d43babdull);
 }
@@ -81,6 +91,45 @@ TEST(GoldenDigest, SpeculationStorm) {
 // the constants above pin the simulator core.
 TEST(GoldenDigest, RevocationStorm) {
   EXPECT_EQ(run_revocation_storm(11), 0x40bfb14cec8f5268ull);
+}
+
+// Captured before the HDFS model was deleted: costed trace cells of
+// configs/revoke.matrix at node_mix=0.5, run through the facade, where
+// every job was given an input file and each warning steered the doomed
+// node's replicas. At seed 7 neither warning finds a task on its node,
+// so both reactions run one stream; at seed 8 checkpoint evacuates and
+// migrate ships frozen images.
+TEST(GoldenDigest, RevokeMatrixCells) {
+  const std::string base =
+      "workload=trace;scheduler=hfsp;primitive=susp;jobs=24;nodes=6;lifetime_model=exp;"
+      "lifetime_mean_s=450;warning_s=20;node_mix=0.5;";
+  struct Cell {
+    const char* cell;
+    std::uint64_t digest;
+    std::uint64_t events;
+    double cost;
+    std::uint64_t warnings_handled;
+    std::uint64_t evacuations;
+    std::uint64_t drain_migrations;
+  };
+  const Cell cells[] = {
+      {"revoke_react=checkpoint;seed=7", 0x4abc39e4115eca9aull, 6069, 1.041938877397214, 2, 0, 0},
+      {"revoke_react=migrate;seed=7", 0x4abc39e4115eca9aull, 6069, 1.041938877397214, 2, 0, 0},
+      {"revoke_react=checkpoint;seed=8", 0xb7450b5aadb7cbf5ull, 6275, 1.0532780706734908, 2, 2, 0},
+      {"revoke_react=migrate;seed=8", 0x52d6a4c75a77caceull, 6283, 1.0532780706734908, 2, 0, 2},
+  };
+  for (const Cell& c : cells) {
+    const std::string desc = base + c.cell;
+    SCOPED_TRACE(desc);
+    const core::ResultRecord rec = core::run_descriptor(core::RunDescriptor::parse(desc));
+    ASSERT_TRUE(rec.ok) << rec.error;
+    EXPECT_EQ(rec.trace_digest, c.digest);
+    EXPECT_EQ(rec.events, c.events);
+    EXPECT_EQ(rec.cost, c.cost);
+    EXPECT_EQ(counter_in(rec, trace::names::kRevokeWarningsHandled), c.warnings_handled);
+    EXPECT_EQ(counter_in(rec, trace::names::kRevokeEvacuations), c.evacuations);
+    EXPECT_EQ(counter_in(rec, trace::names::kRevokeDrainMigrations), c.drain_migrations);
+  }
 }
 
 // Captured before the per-heartbeat job walks became indexes (the jobs
