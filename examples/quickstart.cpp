@@ -15,7 +15,7 @@ using namespace osap;
 
 int main() {
   // 1. A cluster: one worker (4 GiB RAM, one map slot, swappiness 0),
-  //    a JobTracker, HDFS and the simulated OS underneath.
+  //    a JobTracker and the simulated OS underneath.
   Cluster cluster(paper_cluster());
   TimelineRecorder timeline(cluster.job_tracker());
 
@@ -25,12 +25,11 @@ int main() {
   DummyScheduler& ds = *sched;
   cluster.set_scheduler(std::move(sched));
 
-  // 3. Two single-task map-only jobs over 512 MB HDFS blocks.
+  // 3. Two single-task map-only jobs, each reading a 512 MB block from
+  //    the worker's disk.
   TaskSpec low_task = light_map_task();
   TaskSpec high_task = light_map_task();
   low_task.preferred_node = high_task.preferred_node = cluster.node(0);
-  cluster.create_input("input_low", 512 * MiB, cluster.node(0));
-  cluster.create_input("input_high", 512 * MiB, cluster.node(0));
 
   cluster.submit_at(0.1, single_task_job("low", /*priority=*/0, low_task));
 

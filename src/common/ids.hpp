@@ -38,8 +38,6 @@ struct PidTag { static const char* prefix() { return "pid_"; } };
 struct JobTag { static const char* prefix() { return "job_"; } };
 struct TaskTag { static const char* prefix() { return "task_"; } };
 struct AttemptTag { static const char* prefix() { return "attempt_"; } };
-struct BlockTag { static const char* prefix() { return "blk_"; } };
-struct FileTag { static const char* prefix() { return "file_"; } };
 struct TrackerTag { static const char* prefix() { return "tracker_"; } };
 
 using NodeId = StrongId<NodeTag>;
@@ -47,8 +45,6 @@ using Pid = StrongId<PidTag>;
 using JobId = StrongId<JobTag>;
 using TaskId = StrongId<TaskTag>;
 using AttemptId = StrongId<AttemptTag>;
-using BlockId = StrongId<BlockTag>;
-using FileId = StrongId<FileTag>;
 using TrackerId = StrongId<TrackerTag>;
 
 /// Monotonic id generator for one id family.

@@ -21,7 +21,7 @@
 
 namespace osap::core {
 
-/// The assembled simulated stack: per-node kernels, network, HDFS,
+/// The assembled simulated stack: per-node kernels, network,
 /// JobTracker + TaskTrackers (src/hadoop/cluster.hpp).
 using osap::Cluster;
 using osap::ClusterConfig;

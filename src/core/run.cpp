@@ -132,7 +132,6 @@ std::vector<std::pair<std::string, std::uint64_t>> counter_subset(Cluster& clust
                            trace::names::kRevokeDrainKills,
                            trace::names::kRevokeEvacuations,
                            trace::names::kRevokeMigrationsDone,
-                           trace::names::kRevokeBlocksSteered,
                            trace::names::kJtTrackersDraining,
                            trace::names::kJtCheckpointsEvacuated}) {
     out.emplace_back(name, reg.value(name));
@@ -314,15 +313,6 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
       revoke::plan_revocations(static_cast<std::size_t>(cfg.num_nodes), lopts);
   rplan.merge_into(fplan);
   const bool costed = lopts.model != revoke::LifetimeModel::None;
-  if (costed) {
-    // Give each job an HDFS input so replica steering has blocks to
-    // move. The NameNode is metadata-only here (no rng, no scheduled
-    // events), so the trace digest is unaffected.
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      cluster.create_input("swim_in_" + std::to_string(i), 128 * MiB,
-                           cluster.node(i % static_cast<std::size_t>(cfg.num_nodes)));
-    }
-  }
 
   std::unique_ptr<fault::FaultInjector> injector;
   std::unique_ptr<revoke::RevocationManager> manager;

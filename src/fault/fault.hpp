@@ -66,8 +66,8 @@ struct CheckpointLoss {
 /// Spot-style node revocation (docs/REVOKE.md): the node dies at `at`
 /// exactly like a NodeCrash, but a RevocationWarning is delivered to the
 /// JobTracker `warning` seconds earlier (clamped to plan start), giving
-/// proactive policies — checkpoint-on-warning, suspend-and-migrate,
-/// replica steering — a window to drain the doomed node.
+/// proactive policies — checkpoint-on-warning, suspend-and-migrate — a
+/// window to drain the doomed node.
 struct NodeRevocation {
   SimTime at = 0;
   NodeId node;

@@ -10,7 +10,6 @@ namespace osap {
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(cfg),
       net_(sim_, cfg.net),
-      namenode_(cfg.hdfs, cfg.seed),
       master_(NodeId{static_cast<std::uint64_t>(cfg.num_nodes)}),
       jt_(sim_, net_, master_, cfg.hadoop) {
   OSAP_CHECK(cfg_.num_nodes >= 1);
@@ -20,7 +19,6 @@ Cluster::Cluster(ClusterConfig cfg)
   for (int i = 0; i < cfg_.num_nodes; ++i) {
     const NodeId node{static_cast<std::uint64_t>(i)};
     net_.register_node(node);
-    namenode_.add_datanode(node);
     kernels_.push_back(
         std::make_unique<Kernel>(sim_, cfg_.os, "node" + std::to_string(i)));
     trackers_.push_back(std::make_unique<TaskTracker>(
@@ -57,11 +55,6 @@ void Cluster::submit_at(SimTime t, JobSpec spec) {
     jt_.submit_job(std::move(spec));
     --pending_arrivals_;
   });
-}
-
-std::vector<BlockId> Cluster::create_input(const std::string& name, Bytes size, NodeId writer) {
-  const FileId file = namenode_.create_file(name, size, writer);
-  return namenode_.file(file).blocks;
 }
 
 void Cluster::watch_task_progress(TaskId id, double fraction, std::function<void()> fn) {

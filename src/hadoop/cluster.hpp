@@ -1,10 +1,10 @@
 // Cluster: one-stop assembly of the full simulated stack.
 //
-// Builds the simulation, per-node kernels (OS model), the network, HDFS,
-// the JobTracker (on a dedicated master node) and one TaskTracker per
-// worker node. This is the library's main entry point:
+// Builds the simulation, per-node kernels (OS model), the network, the
+// JobTracker (on a dedicated master node) and one TaskTracker per worker
+// node. This is the library's main entry point:
 //
-//   ClusterConfig cfg;            // paper defaults: 4 GB RAM, 512 MB blocks
+//   ClusterConfig cfg;            // defaults: one node, 4 GB RAM
 //   Cluster cluster(cfg);
 //   cluster.set_scheduler(std::make_unique<FifoScheduler>());
 //   JobId j = cluster.submit(job_spec);    // now
@@ -22,7 +22,6 @@
 #include "hadoop/config.hpp"
 #include "hadoop/job_tracker.hpp"
 #include "hadoop/task_tracker.hpp"
-#include "hdfs/namenode.hpp"
 #include "net/network.hpp"
 #include "os/kernel.hpp"
 #include "sim/simulation.hpp"
@@ -34,7 +33,6 @@ struct ClusterConfig {
   OsConfig os;
   HadoopConfig hadoop;
   NetConfig net;
-  HdfsConfig hdfs;
   /// Runtime invariant auditing + livelock watchdog (on by default; flip
   /// `audit.enabled` off for large batch experiments).
   AuditConfig audit;
@@ -50,7 +48,6 @@ class Cluster {
 
   [[nodiscard]] Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] JobTracker& job_tracker() noexcept { return jt_; }
-  [[nodiscard]] NameNode& namenode() noexcept { return namenode_; }
   [[nodiscard]] Network& network() noexcept { return net_; }
 
   [[nodiscard]] int num_nodes() const noexcept { return cfg_.num_nodes; }
@@ -68,11 +65,6 @@ class Cluster {
   /// submitted so far has already finished. Ids follow arrival order, so
   /// job_tracker().jobs_in_order() lists the jobs as they arrived.
   void submit_at(SimTime t, JobSpec spec);
-
-  /// Create an input file and return its single-block id list — the
-  /// experiments use "a single-block file stored on HDFS, with size 512 MB".
-  std::vector<BlockId> create_input(const std::string& name, Bytes size,
-                                    NodeId writer = NodeId{});
 
   /// Fire `fn` once the task's live attempt reaches `fraction` progress
   /// (fine-grained poll; experiment instrumentation, not a Hadoop API).
@@ -104,7 +96,6 @@ class Cluster {
   ClusterConfig cfg_;
   Simulation sim_;
   Network net_;
-  NameNode namenode_;
   std::vector<std::unique_ptr<Kernel>> kernels_;
   std::vector<std::unique_ptr<TaskTracker>> trackers_;
   NodeId master_;

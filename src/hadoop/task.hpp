@@ -36,8 +36,7 @@ struct TaskSpec {
   TaskType type = TaskType::Map;
   std::string name = "task";
 
-  /// HDFS input block (maps). Invalid id = synthetic input of input_bytes.
-  BlockId input_block;
+  /// Input read from the node's own disk (a map's HDFS block).
   Bytes input_bytes = 512 * MiB;
   /// Parse cost. The default makes a 512 MB block take ~76 s of CPU —
   /// matching the paper's task durations — so parsing, not the disk, is

@@ -1,10 +1,11 @@
 // Cluster network model.
 //
 // Control messages (heartbeats, RPC) are latency-only. Bulk transfers
-// (shuffle fetches, non-local block reads) are fluid streams through the
-// receiving node's downlink NIC — the receiver is the bottleneck in
-// Hadoop's shuffle, so modelling one end keeps the model simple while
-// preserving contention among concurrent fetches to the same node.
+// (a migrating task's frozen image) are fluid streams through the
+// receiving node's downlink NIC — modelling one end keeps the model
+// simple while preserving contention among concurrent transfers to the
+// same node. Map input and shuffle bytes never cross it: both are read
+// from the task's own node's disk.
 #pragma once
 
 #include <functional>

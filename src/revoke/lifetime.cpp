@@ -72,8 +72,8 @@ RevocationPlan plan_revocations(std::size_t num_nodes, const LifetimeOptions& op
 
   const auto transient_count = static_cast<std::size_t>(
       opts.node_mix * static_cast<double>(num_nodes) + 0.5);
-  // Transient nodes occupy the top of the index range so node 0 — the
-  // default HDFS writer and first placement target — stays on-demand.
+  // Transient nodes occupy the top of the index range so node 0 stays
+  // on-demand.
   // Lifetimes flow through a dedicated stream derived from the seed, so
   // enabling revocations never perturbs SWIM trace generation.
   Rng rng(opts.seed ^ 0x7265766F6B65ULL);  // "revoke"

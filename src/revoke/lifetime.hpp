@@ -51,7 +51,7 @@ struct LifetimeOptions {
   LifetimeModel model = LifetimeModel::None;
   /// Fraction of the cluster's nodes that are transient, in [0,1].
   /// Transient nodes are taken from the top of the node-index range, so
-  /// node 0 (the default HDFS writer) stays on-demand.
+  /// node 0 stays on-demand.
   double node_mix = 0;
   /// Mean sampled lifetime, seconds.
   double mean_lifetime_s = 400;

@@ -58,7 +58,6 @@ RevocationManager::RevocationManager(Cluster& cluster, fault::FaultInjector& inj
   ctr_drain_kills_ = &counters.counter(trace::names::kRevokeDrainKills);
   ctr_evacuations_ = &counters.counter(trace::names::kRevokeEvacuations);
   ctr_migrations_done_ = &counters.counter(trace::names::kRevokeMigrationsDone);
-  ctr_blocks_steered_ = &counters.counter(trace::names::kRevokeBlocksSteered);
   injector_.set_revocation_handler(
       [this](const fault::NodeRevocation& r, bool accepted) { on_warning(r, accepted); });
   cluster_.job_tracker().add_event_hook([this](const ClusterEvent& e) { on_event(e); });
@@ -74,24 +73,7 @@ void RevocationManager::on_warning(const fault::NodeRevocation& r, bool accepted
   }
   ctr_handled_->add();
   doomed_.insert(r.node);
-  if (reaction_ == Reaction::None) return;
-
-  // Steer the doomed node's block replicas toward safe (on-demand-first)
-  // nodes while its disk still exists.
-  std::vector<NodeId> targets;
-  const std::size_t n = plan_.transient.size();
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId node{i};
-      if (plan_.transient[i] != (pass == 1)) continue;
-      if (node == r.node || doomed_.contains(node) || injector_.node_crashed(node)) continue;
-      targets.push_back(node);
-    }
-  }
-  const std::size_t moved = cluster_.namenode().re_replicate_away(r.node, targets);
-  if (moved > 0) ctr_blocks_steered_->add(moved);
-
-  drain(r.node);
+  if (reaction_ != Reaction::None) drain(r.node);
 }
 
 void RevocationManager::drain(NodeId node) {

@@ -13,8 +13,6 @@
 //   * suspend-and-migrate — running tasks are SIGTSTP-suspended, then the
 //     frozen process image is CRIU-shipped to a safe node via
 //     TaskMigrator (no work lost, explicit dump/transfer/restore costs).
-//   * replica steering — the NameNode re-replicates the doomed node's
-//     blocks toward on-demand nodes before the disk disappears.
 //
 // A warning that arrives after its node already died (out-of-order plan)
 // is counted and dropped — the drain is moot, never wedged.
@@ -86,7 +84,6 @@ class RevocationManager {
   trace::Counter* ctr_drain_kills_ = nullptr;
   trace::Counter* ctr_evacuations_ = nullptr;
   trace::Counter* ctr_migrations_done_ = nullptr;
-  trace::Counter* ctr_blocks_steered_ = nullptr;
 };
 
 }  // namespace osap::revoke

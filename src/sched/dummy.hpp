@@ -46,6 +46,10 @@ class DummyScheduler : public FifoScheduler {
   /// execution); the primary attempt is untouched. False when none races.
   bool kill_speculative(const std::string& job_name, int task_index);
 
+  /// Whether a job of that name has been submitted.
+  [[nodiscard]] bool has_job(const std::string& job_name) const {
+    return by_name_.contains(job_name);
+  }
   [[nodiscard]] JobId job_of(const std::string& job_name) const;
   [[nodiscard]] TaskId task_of(const std::string& job_name, int task_index) const;
 

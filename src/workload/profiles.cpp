@@ -17,7 +17,6 @@ ClusterConfig paper_cluster() {
   cfg.os.lru_approx_error = 0.25;
   cfg.hadoop.map_slots = 1;  // single task slot: th must displace tl
   cfg.hadoop.reduce_slots = 1;
-  cfg.hdfs.block_size = 512 * MiB;
   return cfg;
 }
 

@@ -1,7 +1,7 @@
 // Workload presets matching the paper's experimental setup (§IV-A).
 //
-//  * paper_cluster(): one worker with 4 GB RAM, one map slot, swappiness 0,
-//    512 MB HDFS blocks — the testbed configuration.
+//  * paper_cluster(): one worker with 4 GB RAM, one map slot, swappiness 0
+//    — the testbed configuration.
 //  * light_map_task(): a stateless synthetic mapper that reads and parses
 //    a 512 MB single-block input (~77 s of work).
 //  * hungry_map_task(): the worst-case stateful mapper: additionally
@@ -10,6 +10,7 @@
 //  * single_task_job(): wraps one task in a map-only job (tl / th).
 #pragma once
 
+#include "common/rng.hpp"
 #include "hadoop/cluster.hpp"
 #include "hadoop/job.hpp"
 

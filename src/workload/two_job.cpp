@@ -9,6 +9,19 @@
 
 namespace osap {
 
+namespace {
+
+const char* state_name(JobState s) noexcept {
+  switch (s) {
+    case JobState::Running: return "running";
+    case JobState::Succeeded: return "succeeded";
+    case JobState::Failed: return "failed";
+  }
+  return "?";
+}
+
+}  // namespace
+
 TwoJobResult run_two_job(const TwoJobParams& params) {
   OSAP_CHECK(params.progress_at_launch > 0 && params.progress_at_launch < 1);
   ClusterConfig ccfg = params.cluster;
@@ -21,8 +34,6 @@ TwoJobResult run_two_job(const TwoJobParams& params) {
   cluster.set_scheduler(std::move(scheduler));
 
   const NodeId worker = cluster.node(0);
-  cluster.create_input("input_tl", 512 * MiB, worker);
-  cluster.create_input("input_th", 512 * MiB, worker);
 
   TaskSpec tl_spec = params.tl_state > 0 ? hungry_map_task(params.tl_state) : light_map_task();
   TaskSpec th_spec = params.th_state > 0 ? hungry_map_task(params.th_state) : light_map_task();
@@ -55,9 +66,15 @@ TwoJobResult run_two_job(const TwoJobParams& params) {
 
   const JobTracker& jt = cluster.job_tracker();
   const Job& tl = jt.job(ds.job_of("tl"));
+  OSAP_CHECK_MSG(ds.has_job("th"), "two-job experiment: th was never submitted, because tl ("
+                                       << state_name(tl.state) << ") never reached r="
+                                       << params.progress_at_launch);
   const Job& th = jt.job(ds.job_of("th"));
-  OSAP_CHECK_MSG(tl.state == JobState::Succeeded && th.state == JobState::Succeeded,
-                 "two-job experiment did not complete");
+  for (const Job* job : {&tl, &th}) {
+    OSAP_CHECK_MSG(job->state == JobState::Succeeded, "two-job experiment did not complete: "
+                                                          << job->spec.name << " is in state "
+                                                          << state_name(job->state));
+  }
 
   TwoJobResult result;
   result.sojourn_th = th.sojourn();
@@ -80,7 +97,6 @@ Duration solo_task_duration(TaskSpec spec, ClusterConfig cluster_cfg, std::uint6
   DummyScheduler& ds = *scheduler;
   cluster.set_scheduler(std::move(scheduler));
   spec.preferred_node = cluster.node(0);
-  cluster.create_input("input", spec.input_bytes, cluster.node(0));
   cluster.submit_at(0.05, single_task_job("solo", 0, spec));
   cluster.run();
   return cluster.job_tracker().job(ds.job_of("solo")).sojourn();

@@ -40,12 +40,12 @@ TEST(Ids, Hashable) {
 }
 
 TEST(Ids, GeneratorIsMonotonic) {
-  IdGenerator<BlockId> gen;
-  const BlockId a = gen.next();
-  const BlockId b = gen.next();
+  IdGenerator<JobId> gen;
+  const JobId a = gen.next();
+  const JobId b = gen.next();
   EXPECT_TRUE(a.valid());
   EXPECT_LT(a, b);
-  EXPECT_EQ(a, BlockId{0});
+  EXPECT_EQ(a, JobId{0});
 }
 
 }  // namespace

@@ -112,6 +112,18 @@ TEST(RunFacade, FailuresAreRecordedNotThrown) {
   EXPECT_NE(miskeyed.error.find("not understood"), std::string::npos) << miskeyed.error;
 }
 
+// The crash kills tl's only node before tl reaches r, so th is never
+// submitted. The record must name that cause, not fail inside the
+// dummy scheduler's lookup of th.
+TEST(RunFacade, TwoJobCellWhoseThNeverArrivesNamesTheCause) {
+  const ResultRecord rec = run_descriptor(
+      RunDescriptor::parse("primitive=natjam;r=0.5;tl_state=1GiB;faults=crash 40 0"));
+  EXPECT_FALSE(rec.ok);
+  EXPECT_NE(rec.error.find("two-job experiment: th was never submitted"), std::string::npos)
+      << rec.error;
+  EXPECT_EQ(rec.error.find("dummy scheduler"), std::string::npos) << rec.error;
+}
+
 TEST(RunFacade, TwentyDigitSeedRunsExactly) {
   // 15021278609987233951 is not a double; read through one it runs
   // seed 15021278609987233792.

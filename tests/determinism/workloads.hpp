@@ -445,9 +445,9 @@ inline std::uint64_t run_nested_watches(std::uint64_t seed, bool tracing = false
 /// A revocation storm: half the cluster is transient with short sampled
 /// lifetimes, each death preceded by a warning, and the manager rescues
 /// work Natjam-style (checkpoint on warning, evacuate, resume). The
-/// warning handler, drain, evacuation and replica steering all feed the
-/// digest; the law is the whole storm replays bit-identically and the
-/// tracer observes without perturbing it.
+/// warning handler, drain and evacuation all feed the digest; the law is
+/// the whole storm replays bit-identically and the tracer observes
+/// without perturbing it.
 inline std::uint64_t run_revocation_storm(std::uint64_t seed, bool tracing = false) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 4;
@@ -462,7 +462,6 @@ inline std::uint64_t run_revocation_storm(std::uint64_t seed, bool tracing = fal
   cluster.set_scheduler(std::make_unique<HfspScheduler>(options));
   Rng rng(seed);
   for (int i = 0; i < 8; ++i) {
-    cluster.create_input("in" + std::to_string(i), 128 * MiB, cluster.node(i % 4));
     cluster.submit(single_task_job("map" + std::to_string(i), i % 4,
                                    jitter_task(light_map_task(128 * MiB), rng)));
   }

@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
@@ -347,6 +350,29 @@ TEST(LintMeta, ShippedTreeIsCleanUnderFullConfiguration) {
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_HAS(run.output, "osap-lint: 0 new violations, 0 baselined,");
   EXPECT_EQ(run.output.find("note: stale baseline entry"), std::string::npos) << run.output;
+}
+
+// LAY-1 places a file by the first path component that names a manifest
+// directory, so an entry whose directory is gone matches nothing and
+// lints clean. Every directory the manifest names must exist, either
+// under src/ or as a top-level app directory.
+TEST(LintMeta, EveryManifestDirectoryExists) {
+  const std::filesystem::path src(OSAP_LINT_SRC);
+  std::ifstream manifest(OSAP_LINT_LAYERS);
+  ASSERT_TRUE(manifest) << OSAP_LINT_LAYERS;
+  int named = 0;
+  for (std::string line; std::getline(manifest, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.empty() || line[0] == '#' || colon == std::string::npos) continue;
+    std::istringstream dirs(line.substr(colon + 1));
+    for (std::string dir; dirs >> dir; ++named) {
+      EXPECT_TRUE(std::filesystem::is_directory(src / dir) ||
+                  std::filesystem::is_directory(src.parent_path() / dir))
+          << "layers.txt names '" << dir << "', which is neither src/" << dir
+          << " nor a top-level directory";
+    }
+  }
+  EXPECT_GT(named, 0) << "no layer lines read from " << OSAP_LINT_LAYERS;
 }
 
 }  // namespace

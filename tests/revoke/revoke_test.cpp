@@ -1,9 +1,9 @@
 // Node-revocation subsystem (docs/REVOKE.md): seeded lifetime models
 // produce deterministic FaultPlan-compatible schedules, and the
 // RevocationManager spends each notice window rescuing work — Natjam
-// checkpoint-with-evacuation, CRIU migration, replica steering. The
-// regression that matters most: a warning arriving after its node
-// already died (out-of-order plan) is a counted no-op, never a wedge.
+// checkpoint-with-evacuation or CRIU migration. The regression that
+// matters most: a warning arriving after its node already died
+// (out-of-order plan) is a counted no-op, never a wedge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -70,7 +70,7 @@ TEST(Lifetime, TransientNodesOccupyTheTopOfTheIndexRange) {
   const RevocationPlan plan = plan_revocations(8, exp_opts(0.5, 7));
   ASSERT_EQ(plan.transient.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(plan.transient[i], i >= 4) << "node " << i;
-  EXPECT_FALSE(plan.is_transient(NodeId{0}));  // the default HDFS writer
+  EXPECT_FALSE(plan.is_transient(NodeId{0}));
   EXPECT_TRUE(plan.is_transient(NodeId{7}));
   EXPECT_FALSE(plan.is_transient(NodeId{12}));  // out of range
 }
@@ -183,7 +183,6 @@ struct RevocationRig {
     cluster = std::make_unique<Cluster>(cfg);
     cluster->set_scheduler(std::make_unique<FifoScheduler>());
     for (int i = 0; i < 4; ++i) {
-      cluster->create_input("in" + std::to_string(i), 128 * MiB, cluster->node(i % 2));
       cluster->submit(single_task_job("map" + std::to_string(i), 0, light_map_task()));
     }
     plan.transient = {false, true};
