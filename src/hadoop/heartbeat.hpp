@@ -5,8 +5,13 @@
 // — launch, kill, and the new suspend/resume — on the response. Command
 // acknowledgements arrive with the *following* heartbeat, giving the
 // paper's two-round-trip suspension protocol.
+//
+// A status and its response carry the heartbeat's round-trip span id, so
+// the tracker closes exactly the span a response answers even when
+// heartbeats were dropped or delayed past one another.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -39,6 +44,8 @@ struct TrackerStatus {
   int free_map_slots = 0;
   int free_reduce_slots = 0;
   std::vector<TaskStatusReport> reports;
+  /// The sender's round-trip span id; the response echoes it.
+  std::uint64_t span = 0;
 };
 
 enum class ActionKind {
@@ -75,6 +82,8 @@ struct TaskAction {
 
 struct HeartbeatResponse {
   std::vector<TaskAction> actions;
+  /// The span of the heartbeat answered; 0 for an unsolicited push.
+  std::uint64_t span = 0;
 };
 
 }  // namespace osap

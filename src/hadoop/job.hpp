@@ -68,9 +68,6 @@ struct Job {
   /// progress changes, so the total equals the full rescan bit for bit
   /// (integer addition commutes).
   Bytes remaining_bytes = 0;
-  /// Key under which the JobTracker last filed this job in its
-  /// (remaining, id) order index; 0 = not filed (done, failed, or empty).
-  Bytes indexed_remaining = 0;
   /// Earliest sim time at which the straggler scan could next launch a
   /// copy from this job, given the attempt set it saw last scan; 0 =
   /// stale, rescan on the next heartbeat. Every ETA input (task state,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -113,9 +114,16 @@ TaskTracker* JobTracker::tracker(TrackerId id) {
   return s == nullptr ? nullptr : s->tracker;
 }
 
-Job& JobTracker::job_ref(JobId id) {
-  OSAP_CHECK_MSG(id.value() < jobs_.size(), "unknown " << id);
-  return jobs_[id.value()];
+void JobTracker::unknown_id(JobId id) {
+  std::ostringstream os;
+  os << "unknown " << id;
+  detail::check_failed("id.value() < jobs_.size()", __FILE__, __LINE__, os.str());
+}
+
+void JobTracker::unknown_id(TaskId id) {
+  std::ostringstream os;
+  os << "unknown " << id;
+  detail::check_failed("id.value() < tasks_.size()", __FILE__, __LINE__, os.str());
 }
 
 void JobTracker::set_task_state(Task& task, TaskState to) {
@@ -146,11 +154,10 @@ void JobTracker::set_task_state(Task& task, TaskState to) {
 
 void JobTracker::reindex_job(Job& job) {
   const bool running = job.state == JobState::Running;
-  const Bytes key = running ? job.remaining_bytes : 0;
-  if (key != job.indexed_remaining) {
-    if (job.indexed_remaining != 0) jobs_by_remaining_.erase({job.indexed_remaining, job.id});
-    if (key != 0) jobs_by_remaining_.insert({key, job.id});
-    job.indexed_remaining = key;
+  if (running && job.remaining_bytes != 0) {
+    jobs_by_remaining_.set(job.id, job.remaining_bytes);
+  } else {
+    jobs_by_remaining_.erase(job.id);
   }
   if (running && !job.unassigned.empty()) {
     schedulable_jobs_.insert(job.id);
@@ -642,9 +649,7 @@ void JobTracker::maybe_release_reduces(JobId id) {
       ctr_actions_->add();
       HeartbeatResponse push;
       push.actions.push_back(TaskAction{ActionKind::MapsDone, tid, {}});
-      net_.send(master_, node, [tt, push = std::move(push)]() mutable {
-        tt->deliver_actions(std::move(push));
-      });
+      net_.send(master_, node, [tt, push = std::move(push)] { tt->deliver_actions(push); });
     }
   }
 }
@@ -1027,7 +1032,7 @@ void JobTracker::maybe_complete_job(JobId id) {
   if (scheduler_ != nullptr) scheduler_->job_completed(id);
 }
 
-void JobTracker::on_heartbeat(TrackerStatus status) {
+void JobTracker::on_heartbeat(const TrackerStatus& status) {
   TrackerSlot* s = slot(status.tracker);
   OSAP_LOG(Debug, kLog) << "heartbeat from " << status.tracker << " (" << status.reports.size()
                         << " reports, " << status.free_map_slots << " free map slots)";
@@ -1050,10 +1055,10 @@ void JobTracker::on_heartbeat(TrackerStatus status) {
     OSAP_LOG(Warn, kLog) << status.tracker << " rejoined after expiry, reinitializing";
     HeartbeatResponse reinit;
     reinit.actions.push_back(TaskAction{ActionKind::ReinitTracker, TaskId{}, {}});
+    reinit.span = status.span;
     ctr_actions_->add();
-    net_.send(master_, status.node, [tt, reinit = std::move(reinit)]() mutable {
-      tt->on_response(std::move(reinit));
-    });
+    net_.send(master_, status.node,
+              [tt, reinit = std::move(reinit)] { tt->on_response(reinit); });
     return;
   }
   s->last_heartbeat = sim_.now();
@@ -1061,6 +1066,11 @@ void JobTracker::on_heartbeat(TrackerStatus status) {
   for (const TaskStatusReport& report : status.reports) apply_report(status, report);
 
   HeartbeatResponse response;
+  response.span = status.span;
+  if (!spare_actions_.empty()) {
+    response.actions = std::move(spare_actions_.back());
+    spare_actions_.pop_back();
+  }
 
   // Piggyback pending kill / suspend / resume commands addressed to this
   // tracker (§III-B).
@@ -1131,25 +1141,17 @@ void JobTracker::on_heartbeat(TrackerStatus status) {
   }
   ctr_actions_->add(response.actions.size());
 
-  // Every heartbeat gets a response, even an empty one.
-  net_.send(master_, status.node, [tt, response = std::move(response)]() mutable {
-    tt->on_response(std::move(response));
+  // Every heartbeat gets a response, even an empty one. Once applied,
+  // its action list comes back for the next response.
+  net_.send(master_, status.node, [this, tt, response = std::move(response)]() mutable {
+    tt->on_response(response);
+    reuse_actions(std::move(response.actions));
   });
 }
 
-const Job& JobTracker::job(JobId id) const {
-  OSAP_CHECK_MSG(id.value() < jobs_.size(), "unknown " << id);
-  return jobs_[id.value()];
-}
-
-const Task& JobTracker::task(TaskId id) const {
-  OSAP_CHECK_MSG(id.value() < tasks_.size(), "unknown " << id);
-  return tasks_[id.value()];
-}
-
-Task& JobTracker::task_mutable(TaskId id) {
-  OSAP_CHECK_MSG(id.value() < tasks_.size(), "unknown " << id);
-  return tasks_[id.value()];
+void JobTracker::reuse_actions(std::vector<TaskAction>&& actions) {
+  actions.clear();
+  spare_actions_.push_back(std::move(actions));
 }
 
 bool JobTracker::all_jobs_done() const {
@@ -1273,6 +1275,9 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
       }
     }
   }
+  // The size heap: every entry at or after its parent, and its position
+  // table in step (each running job's key is checked below).
+  if (!jobs_by_remaining_.valid()) flag("jobs-by-remaining heap out of order");
   for (JobId jid : job_order_) {
     const Job& job = jobs_[jid.value()];
     // Recompute the incremental indexes from the ground truth (task
@@ -1314,12 +1319,13 @@ void JobTracker::audit(std::vector<std::string>& violations) const {
            remaining_bytes);
     }
     const bool should_file = job.state == JobState::Running && job.remaining_bytes != 0;
-    const Bytes want_key = should_file ? job.remaining_bytes : 0;
-    if (job.indexed_remaining != want_key) {
-      flag(jid, " filed under remaining key ", job.indexed_remaining, ", expected ", want_key);
-    }
-    if (should_file && !jobs_by_remaining_.contains({job.remaining_bytes, jid})) {
-      flag(jid, " missing from the jobs-by-remaining index");
+    if (!should_file && jobs_by_remaining_.contains(jid)) {
+      flag(jid, " stale in the jobs-by-remaining heap under key ", jobs_by_remaining_.key(jid));
+    } else if (should_file && !jobs_by_remaining_.contains(jid)) {
+      flag(jid, " missing from the jobs-by-remaining heap");
+    } else if (should_file && jobs_by_remaining_.key(jid) != job.remaining_bytes) {
+      flag(jid, " filed under remaining key ", jobs_by_remaining_.key(jid), ", expected ",
+           job.remaining_bytes);
     }
     const bool should_schedule = job.state == JobState::Running && !job.unassigned.empty();
     if (schedulable_jobs_.contains(jid) != should_schedule) {

@@ -17,13 +17,13 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "common/flat_set.hpp"
 #include "common/ids.hpp"
+#include "common/indexed_heap.hpp"
 #include "hadoop/config.hpp"
 #include "hadoop/events.hpp"
 #include "hadoop/heartbeat.hpp"
@@ -107,12 +107,25 @@ class JobTracker final : public InvariantAuditor {
   bool evacuate_checkpoint(TaskId id, NodeId target);
 
   // --- heartbeat entry point (via network) ---------------------------------
-  void on_heartbeat(TrackerStatus status);
+  /// Handle one heartbeat and send its response, which echoes
+  /// `status.span`. The status is read, never kept.
+  void on_heartbeat(const TrackerStatus& status);
 
   // --- views ----------------------------------------------------------------
-  [[nodiscard]] const Job& job(JobId id) const;
-  [[nodiscard]] const Task& task(TaskId id) const;
-  [[nodiscard]] Task& task_mutable(TaskId id);
+  // Schedulers and sort comparators call these millions of times a run:
+  // inline, with the id check kept and its message built out of line.
+  [[nodiscard]] const Job& job(JobId id) const {
+    if (id.value() >= jobs_.size()) [[unlikely]] unknown_id(id);
+    return jobs_[id.value()];
+  }
+  [[nodiscard]] const Task& task(TaskId id) const {
+    if (id.value() >= tasks_.size()) [[unlikely]] unknown_id(id);
+    return tasks_[id.value()];
+  }
+  [[nodiscard]] Task& task_mutable(TaskId id) {
+    if (id.value() >= tasks_.size()) [[unlikely]] unknown_id(id);
+    return tasks_[id.value()];
+  }
 
   /// Replace a task's spec (e.g. Requeue dropping its locality pin).
   /// Goes through the tracker so the job's remaining-bytes total follows
@@ -126,12 +139,12 @@ class JobTracker final : public InvariantAuditor {
   /// filtered jobs_in_order() walk produces.
   [[nodiscard]] const FlatIdSet<JobId>& running_jobs() const noexcept { return running_jobs_; }
 
-  /// Running jobs with remaining work, ordered by (remaining bytes, id).
-  /// begin() is the HFSP head job: the old ascending-id min-scan picked
-  /// the smallest size with lowest-id tie-break, which is exactly
-  /// lexicographic (size, id) order.
-  [[nodiscard]] const std::set<std::pair<Bytes, JobId>>& jobs_by_remaining() const noexcept {
-    return jobs_by_remaining_;
+  /// The running job with the least remaining work, ties to the lowest
+  /// id; invalid when no running job has work left. This is the HFSP head
+  /// job: the old ascending-id min-scan picked the smallest size with a
+  /// lowest-id tie-break, which is the least (remaining bytes, id) pair.
+  [[nodiscard]] JobId smallest_job() const noexcept {
+    return jobs_by_remaining_.empty() ? JobId{} : jobs_by_remaining_.top().id;
   }
 
   /// Running jobs with at least one UNASSIGNED task — the only jobs a
@@ -215,7 +228,14 @@ class JobTracker final : public InvariantAuditor {
   [[nodiscard]] TrackerSlot* slot(TrackerId id) {
     return id.value() < tracker_slots_.size() ? &tracker_slots_[id.value()] : nullptr;
   }
-  [[nodiscard]] Job& job_ref(JobId id);
+  [[nodiscard]] Job& job_ref(JobId id) {
+    if (id.value() >= jobs_.size()) [[unlikely]] unknown_id(id);
+    return jobs_[id.value()];
+  }
+  /// Throw the SimError an id out of range raises. Out of line and cold,
+  /// so the inline accessors stay a compare and a branch.
+  [[noreturn, gnu::cold]] static void unknown_id(JobId id);
+  [[noreturn, gnu::cold]] static void unknown_id(TaskId id);
   /// The single choke point for task-state writes: transitions the state
   /// and keeps the owning job's index sets and counters in sync. Every
   /// `task.state = ...` in the implementation goes through here.
@@ -235,6 +255,9 @@ class JobTracker final : public InvariantAuditor {
   /// finite future time, nowhere when it is kTimeNever.
   void set_spec_next_check(Job& job, SimTime bound);
 
+  /// Take back a response's action list once its tracker has applied it;
+  /// the next response reuses its storage.
+  void reuse_actions(std::vector<TaskAction>&& actions);
   void emit(ClusterEventType type, JobId job, TaskId task, NodeId node);
   void apply_report(const TrackerStatus& status, const TaskStatusReport& report);
   void task_terminal(Task& task, TaskState state);
@@ -316,7 +339,10 @@ class JobTracker final : public InvariantAuditor {
   /// Jobs still Running, ascending id (maintained by the job-state
   /// transitions in submit/complete/fail).
   FlatIdSet<JobId> running_jobs_;
-  std::set<std::pair<Bytes, JobId>> jobs_by_remaining_;
+  /// Running jobs with remaining work, keyed by remaining bytes: a job is
+  /// filed while it runs with a nonzero total and re-keyed in place when
+  /// a progress report moves it. Only the top is read (smallest_job()).
+  IndexedMinHeap<Bytes, JobId> jobs_by_remaining_;
   FlatIdSet<JobId> schedulable_jobs_;
   /// Jobs (any state) with a non-empty `suspended` set, kept beside it in
   /// set_task_state.
@@ -344,6 +370,10 @@ class JobTracker final : public InvariantAuditor {
   /// Straggler-scan scratch (candidate attempts of one job); a member so
   /// the per-heartbeat scan reuses one allocation.
   std::vector<std::pair<TaskId, double>> spec_scratch_;
+  /// Action lists their trackers handed back (reuse_actions), cleared:
+  /// each response takes one, so answering a heartbeat allocates nothing
+  /// once a list of that length has been built.
+  std::vector<std::vector<TaskAction>> spare_actions_;
   /// Tasks owed a Suspend/Resume command not yet piggybacked, ascending
   /// id: a request files the task; sending the command, the task going
   /// terminal or being checkpointed, or its copy's promotion drops it.

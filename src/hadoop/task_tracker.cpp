@@ -95,14 +95,20 @@ void TaskTracker::send_status(bool out_of_band) {
   TrackerStatus status;
   status.tracker = id_;
   status.node = node_;
-  status.free_map_slots = free_map_slots();
-  status.free_reduce_slots = free_reduce_slots();
-  status.reports = std::move(pending_reports_);
+  if (!spare_reports_.empty()) {
+    status.reports = std::move(spare_reports_.back());
+    spare_reports_.pop_back();
+  }
+  status.reports.insert(status.reports.end(), pending_reports_.begin(), pending_reports_.end());
   pending_reports_.clear();
-  status.reports.reserve(status.reports.size() + live_.size());
-  // Reports travel to the JobTracker in task-id order: the scheduler acts
-  // on them in arrival order, so this order is part of the event stream.
+  // One walk counts the held slots and reports every attempt, in task-id
+  // order: the scheduler acts on reports in arrival order, so this order
+  // is part of the event stream. Running, checkpointing and cleanup
+  // attempts hold their slot; only a completed SIGTSTP frees one.
+  int held_maps = 0;
+  int held_reduces = 0;
   for (const auto& [tid, task] : live_) {
+    if (!task.suspended) ++(task.type == TaskType::Map ? held_maps : held_reduces);
     if (task.in_cleanup) continue;
     TaskStatusReport report;
     report.task = tid;
@@ -112,35 +118,58 @@ void TaskTracker::send_status(bool out_of_band) {
     report.swapped_in = kernel_.vmm().swapped_in_total(task.pid);
     status.reports.push_back(report);
   }
+  status.free_map_slots = std::max(0, cfg_.map_slots - held_maps);
+  status.free_reduce_slots = std::max(0, cfg_.reduce_slots - held_reduces);
   sim_.trace().profiler().add(trace::HotPath::HeartbeatAssembly, status.reports.size());
   ctr_heartbeats_->add();
   if (out_of_band) ctr_oob_heartbeats_->add();
-  // Round-trip span: ends when the JobTracker's response arrives. The
-  // JobTracker responds to every heartbeat and per-pair delivery is FIFO,
-  // so responses pair with sends in order.
+  // Round-trip span: ends when the response that echoes it arrives, or
+  // now if the network drops the heartbeat.
   const std::uint64_t span = ++hb_seq_;
+  status.span = span;
   tracer_->async_begin(trk_, out_of_band ? "oob_heartbeat" : "heartbeat", span,
                        {{"reports", static_cast<std::uint64_t>(status.reports.size())}});
-  outstanding_hb_.emplace_back(span, out_of_band);
-  net_.send(node_, master_, [jt = jt_, status = std::move(status)]() mutable {
-    jt->on_heartbeat(std::move(status));
-  });
+  // Once read, the report list comes back for the next status.
+  auto deliver = [this, status = std::move(status)]() mutable {
+    jt_->on_heartbeat(status);
+    reuse_reports(std::move(status.reports));
+  };
+  static_assert(Callback::stores_inline<decltype(deliver)>(),
+                "the heartbeat closure must fit the event's inline buffer");
+  if (net_.send(node_, master_, std::move(deliver))) {
+    outstanding_hb_.push_back({span, out_of_band});
+  } else {
+    tracer_->async_end(trk_, out_of_band ? "oob_heartbeat" : "heartbeat", span,
+                       {{"dropped", 1}});
+  }
   // Out-of-band heartbeats do not reset the periodic timer, matching
   // Hadoop's "status now, schedule stays" behaviour.
 }
 
-void TaskTracker::on_response(HeartbeatResponse response) {
-  if (crashed_) return;  // in-flight response to a dead node
-  if (!outstanding_hb_.empty()) {
-    const auto [span, oob] = outstanding_hb_.front();
-    outstanding_hb_.pop_front();
-    tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", span,
-                       {{"actions", static_cast<std::uint64_t>(response.actions.size())}});
+void TaskTracker::reuse_reports(std::vector<TaskStatusReport>&& reports) {
+  reports.clear();
+  spare_reports_.push_back(std::move(reports));
+}
+
+bool TaskTracker::end_heartbeat_span(std::uint64_t span, trace::TraceArgs args) {
+  for (std::size_t i = 0; i < outstanding_hb_.size(); ++i) {
+    const auto [id, oob] = outstanding_hb_[i];
+    if (id != span) continue;
+    tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", id, args);
+    outstanding_hb_.erase(i);
+    return true;
   }
+  return false;
+}
+
+void TaskTracker::on_response(const HeartbeatResponse& response) {
+  if (crashed_) return;  // in-flight response to a dead node
+  end_heartbeat_span(response.span,
+                     {{"actions", static_cast<std::uint64_t>(response.actions.size())}});
   for (const TaskAction& action : response.actions) apply(action);
 }
 
-void TaskTracker::deliver_actions(HeartbeatResponse response) {
+void TaskTracker::deliver_actions(const HeartbeatResponse& response) {
   if (crashed_) return;
   for (const TaskAction& action : response.actions) apply(action);
 }
@@ -155,7 +184,8 @@ void TaskTracker::crash() {
   }
   // Heartbeats in flight will never be answered usefully; close their
   // round-trip spans as aborted.
-  for (const auto& [span, oob] : outstanding_hb_) {
+  for (std::size_t i = 0; i < outstanding_hb_.size(); ++i) {
+    const auto [span, oob] = outstanding_hb_[i];
     tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", span, {{"aborted", 1}});
   }
   outstanding_hb_.clear();

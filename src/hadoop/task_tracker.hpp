@@ -17,13 +17,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "common/ids.hpp"
+#include "common/ring.hpp"
 #include "hadoop/config.hpp"
 #include "hadoop/heartbeat.hpp"
 #include "net/network.hpp"
@@ -44,14 +44,15 @@ class TaskTracker final : public InvariantAuditor {
   /// Register with the JobTracker and start the heartbeat loop.
   void connect(JobTracker& jt, NodeId master);
 
-  /// Heartbeat response delivery (called through the network).
-  void on_response(HeartbeatResponse response);
+  /// Heartbeat response delivery (called through the network): closes
+  /// the round-trip span the response echoes and applies its actions.
+  void on_response(const HeartbeatResponse& response);
 
   /// Apply JobTracker-pushed actions that are NOT a response to one of our
   /// heartbeats (e.g. the out-of-band "maps done" push). Kept separate
   /// from on_response so unsolicited messages never consume the
   /// heartbeat round-trip bookkeeping.
-  void deliver_actions(HeartbeatResponse response);
+  void deliver_actions(const HeartbeatResponse& response);
 
   // --- fault injection (src/fault, docs/FAULTS.md) -------------------------
   /// The node dies: heartbeats stop, every hosted attempt (running,
@@ -107,6 +108,12 @@ class TaskTracker final : public InvariantAuditor {
   void heartbeat();
   void schedule_next_heartbeat();
   void send_status(bool out_of_band);
+  /// Take back a status's report list once the JobTracker has read it;
+  /// the next status reuses its storage.
+  void reuse_reports(std::vector<TaskStatusReport>&& reports);
+  /// End an in-flight heartbeat's round-trip span with `args`; false when
+  /// no such span is open.
+  bool end_heartbeat_span(std::uint64_t span, trace::TraceArgs args);
   void apply(const TaskAction& action);
   /// Slots of `type` held by hosted attempts: running, checkpointing and
   /// cleanup attempts hold theirs; only a completed SIGTSTP frees one.
@@ -141,6 +148,10 @@ class TaskTracker final : public InvariantAuditor {
   /// in id order.
   std::map<TaskId, LiveTask> live_;
   std::vector<TaskStatusReport> pending_reports_;
+  /// Report lists the JobTracker handed back (reuse_reports), cleared:
+  /// each status takes one, so a heartbeat allocates nothing once a list
+  /// of its length has been built.
+  std::vector<std::vector<TaskStatusReport>> spare_reports_;
   EventId hb_timer_ = 0;
   bool crashed_ = false;
   /// Daemon hang window end (heartbeats suppressed until then).
@@ -153,10 +164,10 @@ class TaskTracker final : public InvariantAuditor {
   trace::Tracer* tracer_ = nullptr;
   std::uint32_t trk_ = 0;          ///< (node, "tasktracker") track
   std::uint32_t shuffle_trk_ = 0;  ///< ("cluster", "shuffle") track
-  /// Round-trip spans for in-flight heartbeats. The JobTracker answers
-  /// every heartbeat exactly once and the network is FIFO per pair, so
-  /// responses match sends in order; (span id, was out-of-band).
-  std::deque<std::pair<std::uint64_t, bool>> outstanding_hb_;
+  /// Round-trip spans of the heartbeats in flight, in send order: (span
+  /// id, was out-of-band). A response closes the span it echoes; a
+  /// heartbeat the network dropped never enters.
+  RingQueue<std::pair<std::uint64_t, bool>> outstanding_hb_;
   std::uint64_t hb_seq_ = 0;
   trace::Counter* ctr_heartbeats_ = nullptr;
   trace::Counter* ctr_oob_heartbeats_ = nullptr;

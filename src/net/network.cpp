@@ -24,14 +24,14 @@ FluidResource& Network::downlink(NodeId node) {
   return *it->second;
 }
 
-void Network::send(NodeId from, NodeId to, std::function<void()> deliver) {
+bool Network::send(NodeId from, NodeId to, Callback&& deliver) {
   sim_.trace().profiler().add(trace::HotPath::NetDelivery);
   Duration lat = (from == to) ? cfg_.loopback_latency : cfg_.latency;
   if (filter_) {
     const MsgFate fate = filter_(from, to);
     if (fate.drop) {
       ++msgs_dropped_;
-      return;
+      return false;
     }
     if (fate.extra_delay > 0) {
       ++msgs_delayed_;
@@ -39,6 +39,7 @@ void Network::send(NodeId from, NodeId to, std::function<void()> deliver) {
     }
   }
   sim_.after(lat, std::move(deliver));
+  return true;
 }
 
 Network::TransferId Network::transfer(NodeId from, NodeId to, Bytes bytes,

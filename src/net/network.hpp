@@ -30,8 +30,9 @@ struct NetConfig {
 };
 
 /// Fault-injection verdict for one control message (src/fault installs a
-/// filter returning these; see docs/FAULTS.md). Dropped messages vanish
-/// silently — exactly what a partitioned or dead NIC does to a heartbeat.
+/// filter returning these; see docs/FAULTS.md). A dropped message never
+/// arrives — exactly what a partitioned or dead NIC does to a heartbeat;
+/// only its sender learns of the drop, from send()'s result.
 struct MsgFate {
   bool drop = false;
   Duration extra_delay = 0;
@@ -45,8 +46,9 @@ class Network {
 
   void register_node(NodeId node);
 
-  /// Deliver a control message after the link latency.
-  void send(NodeId from, NodeId to, std::function<void()> deliver);
+  /// Deliver a control message after the link latency. Returns false
+  /// when the fault filter dropped it: `deliver` is left unrun.
+  bool send(NodeId from, NodeId to, Callback&& deliver);
 
   /// Install (or clear, with an empty function) the control-message fault
   /// filter consulted by send(). The filter must be a pure function of

@@ -4,17 +4,17 @@
 
 namespace osap {
 
-std::vector<JobId> FifoScheduler::job_queue() const {
+const std::vector<JobId>& FifoScheduler::job_queue() {
   // The running set ascends by id, so sorting it on (priority desc, id)
   // gives the order a stable sort on priority alone would, without the
   // stable sort's temporary buffer.
-  std::vector<JobId> queue(jt_->running_jobs().begin(), jt_->running_jobs().end());
-  std::sort(queue.begin(), queue.end(), [this](JobId a, JobId b) {
+  queue_.assign(jt_->running_jobs().begin(), jt_->running_jobs().end());
+  std::sort(queue_.begin(), queue_.end(), [this](JobId a, JobId b) {
     const int pa = jt_->job(a).spec.priority;
     const int pb = jt_->job(b).spec.priority;
     return pa != pb ? pa > pb : a < b;
   });
-  return queue;
+  return queue_;
 }
 
 bool FifoScheduler::eligible(const Task& task, const TrackerStatus& status) const {
@@ -35,7 +35,7 @@ std::vector<TaskId> FifoScheduler::assign(const TrackerStatus& status) {
   // Node-local (or unconstrained) tasks first, remote ones second. Both
   // passes walk one queue: nothing here changes a job's priority or the
   // running set.
-  const std::vector<JobId> queue = job_queue();
+  const std::vector<JobId>& queue = job_queue();
   for (const bool local_pass : {true, false}) {
     for (JobId jid : queue) {
       const Job& job = jt_->job(jid);

@@ -23,14 +23,17 @@ class FifoScheduler : public Scheduler {
   std::vector<TaskId> assign(const TrackerStatus& status) override;
 
  protected:
-  /// Job ids ordered by (priority desc, submission order).
-  [[nodiscard]] std::vector<JobId> job_queue() const;
+  /// Job ids ordered by (priority desc, submission order), in a buffer
+  /// the scheduler reuses: valid until the next call.
+  const std::vector<JobId>& job_queue();
 
   /// Whether the task may launch on this node now (locality rules).
   [[nodiscard]] bool eligible(const Task& task, const TrackerStatus& status) const;
 
  private:
   Duration locality_delay_;
+  /// job_queue()'s storage, reused across heartbeats.
+  std::vector<JobId> queue_;
 };
 
 }  // namespace osap

@@ -20,10 +20,9 @@ Bytes HfspScheduler::remaining_size(JobId id) const {
 }
 
 JobId HfspScheduler::head_job() const {
-  // Front of the (remaining, id) order index — the old ascending-id
-  // min-scan's pick, since strict-less kept the lowest id on size ties.
-  const auto& by_remaining = jt_->jobs_by_remaining();
-  return by_remaining.empty() ? JobId{} : by_remaining.begin()->second;
+  // The least (remaining, id) job — the old ascending-id min-scan's pick,
+  // since strict-less kept the lowest id on size ties.
+  return jt_->smallest_job();
 }
 
 std::vector<TaskId> HfspScheduler::assign(const TrackerStatus& status) {

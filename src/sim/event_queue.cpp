@@ -16,7 +16,7 @@ constexpr std::size_t kMinTombstones = 64;
 
 }  // namespace
 
-EventId EventQueue::allot(std::function<void()> fn) {
+EventId EventQueue::allot(Callback&& fn) {
   // The sequence fills the handle's upper 32 bits. Every pending event
   // holds its own sequence, so the arena never outgrows 32-bit slots.
   OSAP_CHECK_MSG(next_seq_ <= ~std::uint32_t{0}, "event sequence overflow after "
@@ -37,7 +37,7 @@ EventId EventQueue::allot(std::function<void()> fn) {
   return (EventId{seq} << 32) | slot;
 }
 
-EventId EventQueue::push(SimTime t, std::function<void()> fn) {
+EventId EventQueue::push(SimTime t, Callback&& fn) {
   OSAP_CHECK_MSG(t >= 0 && t < kTimeNever, "event time must be finite, got " << t);
   const EventId id = allot(std::move(fn));
   heap_.push_back(Entry{t, id});
@@ -50,10 +50,10 @@ EventQueue::Lane EventQueue::add_lane() {
   return static_cast<Lane>(lanes_.size() - 1);
 }
 
-EventId EventQueue::push(Lane lane, SimTime t, std::function<void()> fn) {
+EventId EventQueue::push(Lane lane, SimTime t, Callback&& fn) {
   OSAP_CHECK_MSG(t >= 0 && t < kTimeNever, "event time must be finite, got " << t);
   OSAP_CHECK_MSG(lane < lanes_.size(), "no lane " << lane);
-  std::deque<Entry>& fifo = lanes_[lane];
+  RingQueue<Entry>& fifo = lanes_[lane];
   // Non-decreasing times plus increasing sequences keep the lane sorted
   // by (time, handle), which is what lets pop() read only its front.
   OSAP_CHECK_MSG(fifo.empty() || fifo.back().time <= t,
@@ -79,7 +79,7 @@ void EventQueue::cancel(EventId id) {
     // lane keeps it in order, hence sorted.
     std::erase_if(heap_, dead);
     for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i, heap_[i]);
-    for (std::deque<Entry>& fifo : lanes_) std::erase_if(fifo, dead);
+    for (RingQueue<Entry>& fifo : lanes_) fifo.erase_if(dead);
     cancelled_ = 0;
   }
 }
@@ -140,7 +140,7 @@ std::size_t EventQueue::earliest() noexcept {
     std::size_t from = kHeap;
     const Entry* best = heap_.empty() ? nullptr : &heap_.front();
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      const std::deque<Entry>& fifo = lanes_[i];
+      const RingQueue<Entry>& fifo = lanes_[i];
       if (!fifo.empty() && (best == nullptr || before(fifo.front(), *best))) {
         best = &fifo.front();
         from = i;
@@ -162,13 +162,13 @@ SimTime EventQueue::next_time() {
 std::vector<std::pair<SimTime, EventId>> EventQueue::pending_events() const {
   std::vector<std::pair<SimTime, EventId>> out;
   out.reserve(live_);
-  const auto collect = [&](const auto& entries) {
-    for (const Entry& e : entries) {
-      if (!stale(e)) out.emplace_back(e.time, e.handle);
-    }
+  const auto collect = [&](const Entry& e) {
+    if (!stale(e)) out.emplace_back(e.time, e.handle);
   };
-  collect(heap_);
-  for (const std::deque<Entry>& fifo : lanes_) collect(fifo);
+  for (const Entry& e : heap_) collect(e);
+  for (const RingQueue<Entry>& fifo : lanes_) {
+    for (std::size_t i = 0; i < fifo.size(); ++i) collect(fifo[i]);
+  }
   return out;
 }
 
@@ -184,7 +184,7 @@ EventQueue::Fired EventQueue::pop() {
   if (--live_ == 0) {
     // Whatever is left is tombstones.
     heap_.clear();
-    for (std::deque<Entry>& fifo : lanes_) fifo.clear();
+    for (RingQueue<Entry>& fifo : lanes_) fifo.clear();
     cancelled_ = 0;
   }
   return fired;

@@ -17,23 +17,27 @@
 // next_time() take the least (time, handle) among the heap top and the
 // lane fronts, so the pop order is the one a single heap would give.
 //
-// Closures live in the slot arena, not in the heap or a lane. cancel()
-// checks the handle's sequence against its slot and frees the slot (and
-// the std::function plus everything it captures) immediately. The entry
+// Closures live in the slot arena, not in the heap or a lane: each slot
+// holds a Callback, which keeps a closure of up to Callback::kInlineBytes
+// in the slot itself. A closure is moved twice, into its slot at push and
+// out of it at pop. cancel() checks the handle's sequence against its
+// slot and frees the slot (and everything the closure captures)
+// immediately. The entry
 // stays behind as a POD tombstone, recognised by the sequence mismatch
 // and pruned when it reaches the heap top or a lane front; once at least
 // 64 tombstones outnumber live events the survivors are compacted (the
 // heap re-heapified, each lane filtered in order), and the last live pop
-// drops whatever tombstones remain.
+// drops whatever tombstones remain. A lane is a ring buffer, so a lane
+// that holds a steady number of entries allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <utility>
 #include <vector>
 
+#include "common/ring.hpp"
 #include "common/time.hpp"
+#include "sim/callback.hpp"
 
 namespace osap {
 
@@ -48,14 +52,14 @@ class EventQueue {
 
   /// Schedule `fn` at absolute time `t` on the heap. Events at equal
   /// times fire in insertion order.
-  EventId push(SimTime t, std::function<void()> fn);
+  EventId push(SimTime t, Callback&& fn);
 
   /// Open a FIFO lane beside the heap.
   Lane add_lane();
 
   /// Schedule `fn` at `t` on `lane`. `t` must not precede the time of the
   /// lane's last entry; the order events fire in is push()'s.
-  EventId push(Lane lane, SimTime t, std::function<void()> fn);
+  EventId push(Lane lane, SimTime t, Callback&& fn);
 
   /// Cancel a pending event, releasing its closure immediately.
   /// Cancelling an already-fired, already-cancelled or never-issued
@@ -75,7 +79,7 @@ class EventQueue {
     SimTime time;
     EventId id;          ///< the handle push() returned
     std::uint64_t seq;   ///< insertion sequence: what the trace digest folds
-    std::function<void()> fn;
+    Callback fn;
     /// Heap levels sifted down plus tombstones pruned since the previous
     /// pop (next_time() prunes too): deterministic queue work. A lane
     /// pop sifts nothing.
@@ -100,7 +104,7 @@ class EventQueue {
     EventId handle;
   };
   struct Slot {
-    std::function<void()> fn;
+    Callback fn;
     std::uint32_t seq = 0;  ///< sequence of the pending event; 0 = free
     std::uint32_t next_free = kNoSlot;
   };
@@ -123,7 +127,7 @@ class EventQueue {
   static constexpr std::size_t kHeap = ~std::size_t{0};
 
   /// Take a sequence and an arena slot for `fn`; returns the handle.
-  EventId allot(std::function<void()> fn);
+  EventId allot(Callback&& fn);
   void sift_up(std::size_t i, Entry e) noexcept;
   /// Fill the hole at `i` with `e`; returns the levels it moved down.
   std::uint64_t sift_down(std::size_t i, Entry e) noexcept;
@@ -139,7 +143,7 @@ class EventQueue {
   void release(std::uint32_t slot) noexcept;
 
   std::vector<Entry> heap_;
-  std::vector<std::deque<Entry>> lanes_;
+  std::vector<RingQueue<Entry>> lanes_;
   std::size_t live_ = 0;       ///< pending, non-cancelled events
   std::size_t cancelled_ = 0;  ///< tombstone entries still in heap_ and lanes_
   std::uint64_t work_ = 0;     ///< queue work not yet reported in a Fired

@@ -15,12 +15,12 @@ Simulation::Simulation() {
 
 Simulation::~Simulation() { Logger::instance().clear_clock(); }
 
-EventId Simulation::at(SimTime t, std::function<void()> fn) {
+EventId Simulation::at(SimTime t, Callback&& fn) {
   OSAP_CHECK_MSG(t >= now_, "cannot schedule in the past: " << t << " < " << now_);
   return queue_.push(t, std::move(fn));
 }
 
-EventId Simulation::after(Duration d, std::function<void()> fn) {
+EventId Simulation::after(Duration d, Callback&& fn) {
   if (d < 0) d = 0;
   for (const auto& [delay, lane] : fixed_delays_) {
     if (delay == d) return queue_.push(lane, now_ + d, std::move(fn));

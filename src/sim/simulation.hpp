@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -28,11 +27,13 @@ class Simulation {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedule at an absolute time (must be >= now()).
-  EventId at(SimTime t, std::function<void()> fn);
+  /// Schedule at an absolute time (must be >= now()). The closure is
+  /// moved into the queue's arena; a small one allocates nothing
+  /// (sim/callback.hpp).
+  EventId at(SimTime t, Callback&& fn);
 
   /// Schedule after a relative delay (clamped to >= 0).
-  EventId after(Duration d, std::function<void()> fn);
+  EventId after(Duration d, Callback&& fn);
 
   /// Declare `d` a delay the model schedules at over and over (a
   /// heartbeat interval, a link latency). after(d) then queues on a FIFO

@@ -284,8 +284,7 @@ inline std::uint64_t run_hfsp_speculation(std::uint64_t seed, bool tracing = fal
     jt.add_event_hook([&jt, stats](const ClusterEvent& e) {
       if (e.type == ClusterEventType::TaskSuspended) ++stats->suspends;
       if (e.type == ClusterEventType::TaskSpeculated) ++stats->speculative_launches;
-      if (e.type == ClusterEventType::TaskResumeRequested &&
-          (jt.jobs_by_remaining().empty() || jt.jobs_by_remaining().begin()->second != e.job)) {
+      if (e.type == ClusterEventType::TaskResumeRequested && jt.smallest_job() != e.job) {
         ++stats->non_head_resumes;
       }
     });

@@ -9,10 +9,12 @@
 // node, and the failure counters landing in the observability JSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <tuple>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "fault/injector.hpp"
 #include "sched/dummy.hpp"
 #include "workload/profiles.hpp"
+#include "workload/swim.hpp"
 
 namespace osap {
 namespace {
@@ -533,6 +536,61 @@ TEST(FaultInjectorTest, CrashSilencesAllTrafficBothWays) {
   // so the master saw only silence and expired the lease.
   EXPECT_TRUE(cluster.job_tracker().tracker_lost(cluster.tracker(cluster.node(0)).id()));
   EXPECT_EQ(cluster.job_tracker().job(ds.job_of("survivor")).state, JobState::Succeeded);
+}
+
+// A heartbeat's round-trip span closes when the response that echoes its
+// id arrives, or at once, marked dropped, when the network drops it. So
+// no span waits on another heartbeat's response: the `osap trace` cell
+// (hfsp + susp, 12 jobs on 4 nodes, seed 7) under a drop storm on node1
+// closes every span within one round trip.
+TEST(FaultInjectorTest, DroppedHeartbeatsCloseTheirSpans) {
+  ClusterConfig cfg = paper_cluster();
+  cfg.num_nodes = 4;
+  cfg.trace.enabled = true;
+  Cluster cluster(cfg);
+  cluster.set_scheduler(core::make_scheduler("hfsp", PreemptPrimitive::Suspend));
+  SwimConfig swim;
+  swim.jobs = 12;
+  Rng rng(7);
+  for (SwimJob& job : generate_swim_trace(swim, rng)) {
+    cluster.submit_at(job.arrival, std::move(job.spec));
+  }
+  FaultInjector injector(cluster, parse_fault_plan("drop-heartbeats 5 40 1\n"));
+  cluster.run();
+  ASSERT_TRUE(cluster.job_tracker().all_jobs_done());
+  // Let the responses in flight when the last job finished land.
+  cluster.run_until(cluster.sim().now() + 2 * cfg.net.latency);
+
+  struct Open {
+    SimTime at;
+    bool closed = false;
+  };
+  std::map<std::tuple<trace::TrackId, std::string, std::uint64_t>, Open> spans;
+  int dropped = 0;
+  double longest = 0;
+  for (const trace::TraceEvent& e : cluster.sim().trace().tracer().events()) {
+    if (e.name != "heartbeat" && e.name != "oob_heartbeat") continue;
+    const auto key = std::make_tuple(e.track, e.name, e.id);
+    if (e.phase == 'b') {
+      EXPECT_TRUE(spans.emplace(key, Open{e.ts}).second) << e.name << " " << e.id << " reopened";
+    } else if (e.phase == 'e') {
+      const auto it = spans.find(key);
+      ASSERT_NE(it, spans.end()) << e.name << " " << e.id << " ends unopened";
+      EXPECT_FALSE(it->second.closed) << e.name << " " << e.id << " ends twice";
+      it->second.closed = true;
+      longest = std::max(longest, e.ts - it->second.at);
+      if (e.args.find("\"dropped\":1") != std::string::npos) {
+        ++dropped;
+        EXPECT_EQ(e.ts, it->second.at) << "a dropped heartbeat's span ends when it is sent";
+      }
+    }
+  }
+  int open = 0;
+  for (const auto& [key, span] : spans) open += span.closed ? 0 : 1;
+  EXPECT_EQ(open, 0) << "of " << spans.size() << " heartbeat spans";
+  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(dropped), cluster.network().messages_dropped());
+  EXPECT_LE(longest, 2 * cfg.net.latency + 1e-6);
 }
 
 }  // namespace
