@@ -18,7 +18,6 @@ namespace {
 MetricMap run_primitive(PreemptPrimitive primitive, std::uint64_t seed) {
   ClusterConfig cfg = paper_cluster();
   cfg.hadoop.map_slots = 1;
-  cfg.seed = seed;
   Cluster cluster(cfg);
   Rng rng(seed);
   DeadlineScheduler::Options options;

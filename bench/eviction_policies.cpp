@@ -18,7 +18,6 @@ namespace {
 MetricMap run_policy(EvictionPolicy policy, std::uint64_t seed) {
   ClusterConfig cfg = paper_cluster();
   cfg.hadoop.map_slots = 2;
-  cfg.seed = seed;
   Cluster cluster(cfg);
   Rng rng(seed);
   auto sched = std::make_unique<DummyScheduler>(cluster);

@@ -19,7 +19,6 @@ MetricMap run_trace(PreemptPrimitive primitive, std::uint64_t seed) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 4;
   cfg.hadoop.map_slots = 1;
-  cfg.seed = seed;
   Cluster cluster(cfg);
 
   HfspScheduler::Options options;

@@ -31,7 +31,6 @@ const char* to_string(Strategy s) {
 MetricMap run_strategy(Strategy strategy, Bytes state, std::uint64_t seed) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 2;
-  cfg.seed = seed;
   Cluster cluster(cfg);
   Rng rng(seed);
   auto sched = std::make_unique<DummyScheduler>(cluster, seconds(1e9));

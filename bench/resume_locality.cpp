@@ -19,7 +19,6 @@ namespace {
 MetricMap run_threshold(Duration threshold, std::uint64_t seed) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 2;
-  cfg.seed = seed;
   Cluster cluster(cfg);
   Rng rng(seed);
   // Infinite locality delay: pinned tasks never drift to another node, so

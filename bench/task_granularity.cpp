@@ -17,7 +17,6 @@ namespace {
 
 MetricMap run_split(Bytes split, PreemptPrimitive primitive, std::uint64_t seed) {
   ClusterConfig cfg = paper_cluster();
-  cfg.seed = seed;
   Cluster cluster(cfg);
   Rng rng(seed);
   auto sched = std::make_unique<DummyScheduler>(cluster);

@@ -20,7 +20,6 @@ namespace {
 
 MetricMap run_cycles(int cycles, std::uint64_t seed) {
   ClusterConfig cfg = paper_cluster();
-  cfg.seed = seed;
   Cluster cluster(cfg);
   Rng rng(seed);
   auto sched = std::make_unique<DummyScheduler>(cluster);

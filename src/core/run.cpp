@@ -225,7 +225,7 @@ std::vector<CapacityScheduler::QueueConfig> parse_queue_spec(const std::string& 
 void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord& rec) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = count_axis(d, "nodes");
-  cfg.seed = seed_axis(d);
+  const std::uint64_t seed = seed_axis(d);
   const double swap_watermark = real_axis(d, "swap_watermark");
   apply_observability(opts, cfg);
   Cluster cluster(cfg);
@@ -261,7 +261,7 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   swim.state_memory = parse_size(axis(d, "state"));
   swim.stateful_fraction = real_axis(d, "stateful");
   const double deadline_factor = real_axis(d, "deadline_factor");
-  Rng rng(cfg.seed);
+  Rng rng(seed);
   std::vector<SwimJob> trace = generate_swim_trace(swim, rng);
   std::size_t job_index = 0;
   for (SwimJob& job : trace) {
@@ -308,7 +308,7 @@ void run_trace_cell(const RunDescriptor& d, const RunOptions& opts, ResultRecord
   lopts.node_mix = real_axis(d, "node_mix");
   lopts.mean_lifetime_s = real_axis(d, "lifetime_mean_s");
   lopts.warning_s = real_axis(d, "warning_s");
-  lopts.seed = cfg.seed;
+  lopts.seed = seed;
   const revoke::RevocationPlan rplan =
       revoke::plan_revocations(static_cast<std::size_t>(cfg.num_nodes), lopts);
   rplan.merge_into(fplan);

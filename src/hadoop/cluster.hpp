@@ -39,7 +39,6 @@ struct ClusterConfig {
   /// Observability (src/trace): span tracing, counter dump destinations.
   /// Tracing is purely passive — enabling it never changes the digest.
   trace::TraceConfig trace;
-  std::uint64_t seed = 1;
 };
 
 class Cluster {

@@ -24,9 +24,7 @@ const char* state_name(JobState s) noexcept {
 
 TwoJobResult run_two_job(const TwoJobParams& params) {
   OSAP_CHECK(params.progress_at_launch > 0 && params.progress_at_launch < 1);
-  ClusterConfig ccfg = params.cluster;
-  ccfg.seed = params.seed;
-  Cluster cluster(ccfg);
+  Cluster cluster(params.cluster);
   Rng rng(params.seed);
 
   auto scheduler = std::make_unique<DummyScheduler>(cluster);
@@ -90,8 +88,7 @@ TwoJobResult run_two_job(const TwoJobParams& params) {
   return result;
 }
 
-Duration solo_task_duration(TaskSpec spec, ClusterConfig cluster_cfg, std::uint64_t seed) {
-  cluster_cfg.seed = seed;
+Duration solo_task_duration(TaskSpec spec, const ClusterConfig& cluster_cfg) {
   Cluster cluster(cluster_cfg);
   auto scheduler = std::make_unique<DummyScheduler>(cluster);
   DummyScheduler& ds = *scheduler;

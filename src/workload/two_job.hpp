@@ -64,6 +64,6 @@ TwoJobResult run_two_job(const TwoJobParams& params);
 
 /// Duration of one task of the given spec running alone on the cluster —
 /// used for calibration and for normalizing overheads.
-Duration solo_task_duration(TaskSpec spec, ClusterConfig cluster, std::uint64_t seed = 1);
+Duration solo_task_duration(TaskSpec spec, const ClusterConfig& cluster);
 
 }  // namespace osap

@@ -30,7 +30,6 @@ inline std::uint64_t run_map_heavy(std::uint64_t seed, bool tracing = false) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 3;
   cfg.hadoop.map_slots = 2;
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   cluster.set_scheduler(std::make_unique<FifoScheduler>());
@@ -50,7 +49,6 @@ inline std::uint64_t run_preemption_heavy(std::uint64_t seed, bool tracing = fal
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 2;
   cfg.hadoop.map_slots = 2;
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   auto sched = std::make_unique<DummyScheduler>(cluster);
@@ -114,11 +112,11 @@ inline std::uint64_t run_preemption_heavy(std::uint64_t seed, bool tracing = fal
 
 /// Two stateful mappers whose combined footprint overcommits RAM: the
 /// VMM reclaims, swaps, and (possibly) OOM-kills — the code paths where
-/// hash-order victim selection used to hide.
-inline std::uint64_t run_memory_pressure(std::uint64_t seed, bool tracing = false) {
+/// hash-order victim selection used to hide. It draws no random numbers,
+/// so every seed runs the same stream.
+inline std::uint64_t run_memory_pressure(std::uint64_t /*seed*/, bool tracing = false) {
   ClusterConfig cfg = paper_cluster();
   cfg.hadoop.map_slots = 2;
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   cluster.set_scheduler(std::make_unique<FifoScheduler>());
@@ -141,7 +139,6 @@ inline std::uint64_t run_fault_storm(std::uint64_t seed, bool tracing = false) {
   cfg.hadoop.map_slots = 2;
   cfg.hadoop.tracker_expiry = seconds(9);
   cfg.hadoop.expiry_check_interval = seconds(1);
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   cluster.set_scheduler(std::make_unique<FifoScheduler>());
@@ -174,7 +171,6 @@ inline std::uint64_t run_speculation_storm(std::uint64_t seed, bool tracing = fa
   cfg.hadoop.speculative_execution = true;
   cfg.hadoop.speculative_cap = 2;
   cfg.hadoop.speculative_min_runtime = seconds(10);
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   auto sched = std::make_unique<DummyScheduler>(cluster);
@@ -216,12 +212,12 @@ inline std::uint64_t run_speculation_storm(std::uint64_t seed, bool tracing = fa
 /// launch-time ties across the whole eviction pool), then a stream of
 /// identical tiny jobs forcing HFSP to preempt over that tied pool again
 /// and again. Every choice must fall through to the task-id tie-break;
-/// anything order- or address-dependent in pick_victim lands here.
-inline std::uint64_t run_tie_heavy(std::uint64_t seed, bool tracing = false) {
+/// anything order- or address-dependent in pick_victim lands here. It
+/// draws no random numbers, so every seed runs the same stream.
+inline std::uint64_t run_tie_heavy(std::uint64_t /*seed*/, bool tracing = false) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 2;
   cfg.hadoop.map_slots = 2;
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   HfspScheduler::Options options;
@@ -273,7 +269,6 @@ inline std::uint64_t run_hfsp_speculation(std::uint64_t seed, bool tracing = fal
   cfg.hadoop.speculative_execution = true;
   cfg.hadoop.speculative_min_runtime = seconds(10);
   cfg.hadoop.speculative_cap = 2;
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   HfspScheduler::Options options;
@@ -328,7 +323,6 @@ inline std::uint64_t run_crash_mid_cleanup(std::uint64_t seed, bool tracing = fa
   cfg.hadoop.map_slots = 2;
   cfg.hadoop.tracker_expiry = seconds(9);
   cfg.hadoop.expiry_check_interval = seconds(1);
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   auto sched = std::make_unique<DummyScheduler>(cluster);
@@ -412,7 +406,6 @@ inline std::uint64_t run_nested_watches(std::uint64_t seed, bool tracing = false
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 2;
   cfg.hadoop.map_slots = 2;
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   auto sched = std::make_unique<DummyScheduler>(cluster);
@@ -453,7 +446,6 @@ inline std::uint64_t run_revocation_storm(std::uint64_t seed, bool tracing = fal
   cfg.hadoop.map_slots = 2;
   cfg.hadoop.tracker_expiry = seconds(9);
   cfg.hadoop.expiry_check_interval = seconds(1);
-  cfg.seed = seed;
   cfg.trace.enabled = tracing;
   Cluster cluster(cfg);
   HfspScheduler::Options options;

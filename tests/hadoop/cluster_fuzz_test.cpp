@@ -16,7 +16,6 @@ TEST_P(ClusterFuzz, RandomPreemptionStormStillCompletes) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 2;
   cfg.hadoop.map_slots = 2;
-  cfg.seed = GetParam();
   Cluster cluster(cfg);
   auto sched = std::make_unique<DummyScheduler>(cluster);
   cluster.set_scheduler(std::move(sched));

@@ -179,7 +179,6 @@ struct RevocationRig {
     cfg.num_nodes = 2;
     cfg.hadoop.tracker_expiry = seconds(9);
     cfg.hadoop.expiry_check_interval = seconds(1);
-    cfg.seed = 11;
     cluster = std::make_unique<Cluster>(cfg);
     cluster->set_scheduler(std::make_unique<FifoScheduler>());
     for (int i = 0; i < 4; ++i) {

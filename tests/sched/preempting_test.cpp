@@ -26,7 +26,6 @@ void expect_waits_are_not_preemptions(const char* name, typename S::Options opti
   SCOPED_TRACE(name);
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = 4;
-  cfg.seed = 8;
   Cluster cluster(cfg);
   options.primitive = PreemptPrimitive::Wait;
   auto sched = std::make_unique<S>(std::move(options));
@@ -34,7 +33,7 @@ void expect_waits_are_not_preemptions(const char* name, typename S::Options opti
   cluster.set_scheduler(std::move(sched));
   SwimConfig swim;
   swim.jobs = 16;
-  Rng rng(cfg.seed);
+  Rng rng(8);
   std::size_t index = 0;
   for (SwimJob& job : generate_swim_trace(swim, rng)) {
     job.spec.queue = index++ % 2 == 0 ? "prod" : "batch";

@@ -7,7 +7,7 @@
 //   osap gantt    [--primitive susp] [--r 0.5] [--tl-state ...] [--th-state ...]
 //       One run, rendered as a Figure-1-style schedule.
 //
-//   osap config <file> [--nodes 1] [--seed 1]
+//   osap config <file> [--nodes 1]
 //       Run a dummy-scheduler configuration file (§III-B) and report
 //       every job's outcome.
 //
@@ -102,14 +102,12 @@ TwoJobParams params_from(const Args& args) {
   params.progress_at_launch = args.num("r", 0.5, parse_real);
   params.tl_state = parse_size(args.get("tl-state", "0"));
   params.th_state = parse_size(args.get("th-state", "0"));
-  params.seed = args.num<std::uint64_t>("seed", 42, parse_seed);
   return params;
 }
 
 int cmd_gantt(const Args& args) {
   TwoJobParams params = params_from(args);
   ClusterConfig cfg = params.cluster;
-  cfg.seed = params.seed;
   apply_trace_flags(args, cfg);
   apply_speculation_flags(args, cfg);
   Cluster cluster(cfg);
@@ -145,7 +143,6 @@ int cmd_config(const Args& args) {
   }
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = args.num("nodes", cfg.num_nodes, parse_count);
-  cfg.seed = args.num("seed", cfg.seed, parse_seed);
   apply_trace_flags(args, cfg);
   apply_speculation_flags(args, cfg);
   Cluster cluster(cfg);
@@ -175,7 +172,7 @@ int cmd_config(const Args& args) {
 int cmd_trace(const Args& args) {
   ClusterConfig cfg = paper_cluster();
   cfg.num_nodes = args.num("nodes", 4, parse_count);
-  cfg.seed = args.num<std::uint64_t>("seed", 7, parse_seed);
+  const auto seed = args.num<std::uint64_t>("seed", 7, parse_seed);
   apply_trace_flags(args, cfg);
   apply_speculation_flags(args, cfg);
   Cluster cluster(cfg);
@@ -194,7 +191,7 @@ int cmd_trace(const Args& args) {
   } else {
     SwimConfig swim;
     swim.jobs = args.num("jobs", 12, parse_count);
-    Rng rng(cfg.seed);
+    Rng rng(seed);
     trace = generate_swim_trace(swim, rng);
   }
   for (SwimJob& job : trace) cluster.submit_at(job.arrival, std::move(job.spec));
@@ -221,8 +218,8 @@ int usage() {
                "(the paper's two-job grid: osapd run configs/<fig>.matrix)\n"
                "\n"
                "  gantt    --primitive P  --r 0.5  --tl-state SZ  --th-state SZ\n"
-               "           --seed 42  --cell 3.0  + common flags\n"
-               "  config   <file>  --nodes 1  --seed 1  + common flags\n"
+               "           --cell 3.0  + common flags\n"
+               "  config   <file>  --nodes 1  + common flags\n"
                "  trace    --scheduler %s  --primitive P\n"
                "           --jobs 12  --nodes 4  --seed 7  --file trace.txt  + common flags\n"
                "\n"
@@ -261,11 +258,11 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "gantt") {
       args.check_allowed("osap", "gantt",
-                         with_common({"primitive", "r", "tl-state", "th-state", "seed", "cell"}));
+                         with_common({"primitive", "r", "tl-state", "th-state", "cell"}));
       return cmd_gantt(args);
     }
     if (cmd == "config") {
-      args.check_allowed("osap", "config", with_common({"nodes", "seed"}));
+      args.check_allowed("osap", "config", with_common({"nodes"}));
       return cmd_config(args);
     }
     if (cmd == "trace") {
