@@ -69,8 +69,8 @@ class Cluster {
   /// (fine-grained poll; experiment instrumentation, not a Hadoop API).
   /// The watch joins a table on the cluster and is polled now, then every
   /// 100 ms until the task reaches the fraction or finishes first. Each
-  /// poll event captures only the cluster and the watch's index, small
-  /// enough for std::function to hold without allocating; `fn` stays in
+  /// poll event captures only the cluster and the watch's index, so it
+  /// lives in the event's inline closure buffer; `fn` stays in
   /// the table. It is released once it fires, or at the first poll that
   /// finds the task done, and it may arm further watches.
   void watch_task_progress(TaskId id, double fraction, std::function<void()> fn);

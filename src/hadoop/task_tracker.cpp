@@ -151,15 +151,14 @@ void TaskTracker::reuse_reports(std::vector<TaskStatusReport>&& reports) {
   spare_reports_.push_back(std::move(reports));
 }
 
-bool TaskTracker::end_heartbeat_span(std::uint64_t span, trace::TraceArgs args) {
+void TaskTracker::end_heartbeat_span(std::uint64_t span, trace::TraceArgs args) {
   for (std::size_t i = 0; i < outstanding_hb_.size(); ++i) {
     const auto [id, oob] = outstanding_hb_[i];
     if (id != span) continue;
     tracer_->async_end(trk_, oob ? "oob_heartbeat" : "heartbeat", id, args);
     outstanding_hb_.erase(i);
-    return true;
+    return;
   }
-  return false;
 }
 
 void TaskTracker::on_response(const HeartbeatResponse& response) {

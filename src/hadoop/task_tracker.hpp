@@ -111,9 +111,9 @@ class TaskTracker final : public InvariantAuditor {
   /// Take back a status's report list once the JobTracker has read it;
   /// the next status reuses its storage.
   void reuse_reports(std::vector<TaskStatusReport>&& reports);
-  /// End an in-flight heartbeat's round-trip span with `args`; false when
-  /// no such span is open.
-  bool end_heartbeat_span(std::uint64_t span, trace::TraceArgs args);
+  /// End the round-trip span of the in-flight heartbeat `span` with
+  /// `args`; a span not open is a no-op.
+  void end_heartbeat_span(std::uint64_t span, trace::TraceArgs args);
   void apply(const TaskAction& action);
   /// Slots of `type` held by hosted attempts: running, checkpointing and
   /// cleanup attempts hold theirs; only a completed SIGTSTP frees one.

@@ -10,6 +10,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <ostream>
+#include <string>
+#include <utility>
 
 #include "hadoop/cluster.hpp"
 #include "sched/fifo.hpp"
@@ -53,6 +56,8 @@ namespace {
 
 enum class Sched { Fifo, Hfsp };
 
+void PrintTo(Sched s, std::ostream* os) { *os << (s == Sched::Fifo ? "fifo" : "hfsp"); }
+
 class HeartbeatAllocation : public ::testing::TestWithParam<Sched> {};
 
 // Two nodes, each running one job's single long map task. Its input is
@@ -72,7 +77,9 @@ TEST_P(HeartbeatAllocation, SteadyStateRoundTripAllocatesNothing) {
   for (int n = 0; n < 2; ++n) {
     TaskSpec spec = light_map_task(2 * GiB);
     spec.preferred_node = cluster.node(n);
-    cluster.submit(single_task_job("long" + std::to_string(n), 0, spec));
+    std::string name = "long";
+    name += std::to_string(n);
+    cluster.submit(single_task_job(std::move(name), 0, spec));
   }
   // Past the launches and the input reads: ~5 s of disk at 140 MiB/s
   // against ~300 s of parsing.

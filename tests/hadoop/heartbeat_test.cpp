@@ -75,7 +75,8 @@ TEST(HeartbeatPayload, EachStatusCarriesExactlyItsOwnReports) {
   int tasks = 0;
   for (int j = 0; j < 6; ++j) {
     JobSpec job;
-    job.name = "j" + std::to_string(j);
+    job.name = "j";
+    job.name += std::to_string(j);
     for (int t = 0; t < 3; ++t) job.tasks.push_back(light_map_task((8 + 4 * (j + t)) * MiB));
     tasks += 3;
     cluster.submit_at(0.05 + 0.7 * j, std::move(job));
