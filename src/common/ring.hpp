@@ -24,7 +24,6 @@ class RingQueue {
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     return buf_[wrap(head_ + i)];
   }
-  [[nodiscard]] T& front() noexcept { return buf_[head_]; }
   [[nodiscard]] const T& front() const noexcept { return buf_[head_]; }
   [[nodiscard]] const T& back() const noexcept { return (*this)[size_ - 1]; }
 

@@ -32,7 +32,6 @@ class Callback {
   }
 
   Callback() noexcept = default;
-  Callback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>>
     requires(!std::is_same_v<D, Callback> && std::is_invocable_r_v<void, D&>)
