@@ -22,13 +22,13 @@
 // in the slot itself. A closure is moved twice, into its slot at push and
 // out of it at pop. cancel() checks the handle's sequence against its
 // slot and frees the slot (and everything the closure captures)
-// immediately. The entry
-// stays behind as a POD tombstone, recognised by the sequence mismatch
-// and pruned when it reaches the heap top or a lane front; once at least
-// 64 tombstones outnumber live events the survivors are compacted (the
-// heap re-heapified, each lane filtered in order), and the last live pop
-// drops whatever tombstones remain. A lane is a ring buffer, so a lane
-// that holds a steady number of entries allocates nothing.
+// immediately. The entry stays behind as a POD tombstone, recognised by
+// the sequence mismatch and pruned when it reaches the heap top or a
+// lane front; once at least 64 tombstones outnumber live events the
+// survivors are compacted (the heap re-heapified, each lane filtered in
+// order), and the last live pop drops whatever tombstones remain. A lane
+// is a ring buffer, so a lane that holds a steady number of entries
+// allocates nothing.
 #pragma once
 
 #include <cstdint>

@@ -14,9 +14,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <tuple>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -55,8 +54,6 @@ namespace osap {
 namespace {
 
 enum class Sched { Fifo, Hfsp };
-
-void PrintTo(Sched s, std::ostream* os) { *os << (s == Sched::Fifo ? "fifo" : "hfsp"); }
 
 class HeartbeatAllocation : public ::testing::TestWithParam<Sched> {};
 
