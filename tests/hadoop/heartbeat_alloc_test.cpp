@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -54,6 +55,9 @@ namespace osap {
 namespace {
 
 enum class Sched { Fifo, Hfsp };
+
+// ctest names each case by this value: .../fifo, .../hfsp.
+void PrintTo(Sched s, std::ostream* os) { *os << (s == Sched::Fifo ? "fifo" : "hfsp"); }
 
 class HeartbeatAllocation : public ::testing::TestWithParam<Sched> {};
 
@@ -104,10 +108,7 @@ TEST_P(HeartbeatAllocation, SteadyStateRoundTripAllocatesNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, HeartbeatAllocation,
-                         ::testing::Values(Sched::Fifo, Sched::Hfsp),
-                         [](const ::testing::TestParamInfo<Sched>& info) {
-                           return info.param == Sched::Fifo ? "Fifo" : "Hfsp";
-                         });
+                         ::testing::Values(Sched::Fifo, Sched::Hfsp));
 
 }  // namespace
 }  // namespace osap
